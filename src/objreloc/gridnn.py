@@ -1,150 +1,15 @@
-"""Exact nearest-neighbour index on a uniform grid.
+"""Exact nearest-neighbour index over a fixed point set, backed by scipy's cKDTree.
 
-ICP queries ~20k points against the surface model once per iteration, which
-dominates the relocalisation budget. A uniform-grid index beats a k-d tree
-here because surface models are voxel-downsampled (near-uniform density) and
-queries carry a distance upper bound. The search is exact: shells of cells
-are scanned outward until no unscanned cell can hold a closer point, and ties
-are broken toward the lowest point index.
-
-Falls back to scipy's cKDTree when numba is unavailable.
+ICP queries every planar frame point against the surface model once per
+iteration. Queries carry ICP's distance gate as an upper bound, which prunes
+the tree search; a point with no surface point within it is a miss.
 """
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def wrap(f):
-            return f
-
-        return wrap
-
-    prange = range
-
-
-@njit(cache=True, parallel=True)
-def _query_kernel(queries, ref, orig_idx, cell_start, origin, inv_h, h, dims, ub):
-    m = queries.shape[0]
-    out_d = np.empty(m, dtype=np.float64)
-    out_i = np.empty(m, dtype=np.int64)
-    nx, ny, nz = dims[0], dims[1], dims[2]
-    r_cap = int(np.ceil(ub * inv_h)) + 1
-    for q in prange(m):
-        px = queries[q, 0]
-        py = queries[q, 1]
-        pz = queries[q, 2]
-        cx = int(np.floor((px - origin[0]) * inv_h))
-        cy = int(np.floor((py - origin[1]) * inv_h))
-        cz = int(np.floor((pz - origin[2]) * inv_h))
-        best_d2 = ub * ub
-        best_i = -1
-        for r in range(0, r_cap + 1):
-            # cells at Chebyshev distance >= r are at least (r-1)*h away;
-            # the boundary case is scanned so index ties resolve lowest-first
-            if best_i >= 0 and (r - 1) * h > np.sqrt(best_d2):
-                break
-            if (r - 1) * h > ub:
-                break
-            x0 = cx - r if cx - r >= 0 else 0
-            x1 = cx + r if cx + r < nx else nx - 1
-            for ix in range(x0, x1 + 1):
-                on_x = ix == cx - r or ix == cx + r
-                y0 = cy - r if cy - r >= 0 else 0
-                y1 = cy + r if cy + r < ny else ny - 1
-                for iy in range(y0, y1 + 1):
-                    on_y = iy == cy - r or iy == cy + r
-                    if on_x or on_y:
-                        z0 = cz - r if cz - r >= 0 else 0
-                        z1 = cz + r if cz + r < nz else nz - 1
-                        zs = 1
-                    else:
-                        # interior in x and y: only the two z faces are on the shell
-                        z0 = cz - r
-                        z1 = cz + r
-                        zs = 2 * r if r > 0 else 1
-                        if z0 < 0 and z1 > nz - 1:
-                            continue
-                    for iz in range(z0, z1 + 1, zs):
-                        if iz < 0 or iz > nz - 1:
-                            continue
-                        flat = (ix * ny + iy) * nz + iz
-                        lo = cell_start[flat]
-                        hi = cell_start[flat + 1]
-                        for j in range(lo, hi):
-                            dx = ref[j, 0] - px
-                            dy = ref[j, 1] - py
-                            dz = ref[j, 2] - pz
-                            d2 = dx * dx + dy * dy + dz * dz
-                            if d2 < best_d2:
-                                best_d2 = d2
-                                best_i = orig_idx[j]
-                            elif d2 == best_d2 and best_i >= 0 and orig_idx[j] < best_i:
-                                best_i = orig_idx[j]
-        out_d[q] = np.sqrt(best_d2) if best_i >= 0 else np.inf
-        out_i[q] = best_i
-    return out_d, out_i
-
-
-class GridIndex:
-    """Uniform-grid exact nearest-neighbour index over a fixed point set."""
-
-    # dense cell-start tables beyond this size are not worth the memory
-    MAX_CELLS = 16_000_000
-
-    def __init__(self, points, cell_size=0.025):
-        self.points = np.ascontiguousarray(points, dtype=np.float64)
-        if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) == 0:
-            raise ValueError("GridIndex requires a non-empty (N, 3) point array")
-        self.cell_size = float(cell_size)
-        lo = self.points.min(axis=0)
-        hi = self.points.max(axis=0)
-        self._origin = lo - self.cell_size
-        dims = np.floor((hi - self._origin) / self.cell_size).astype(np.int64) + 2
-        n_cells = int(np.prod(dims))
-        if n_cells > self.MAX_CELLS:
-            raise ValueError(f"grid would need {n_cells} cells; use a k-d tree instead")
-        self._dims = dims
-        cells = np.floor((self.points - self._origin) / self.cell_size).astype(np.int64)
-        flat = (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
-        order = np.argsort(flat, kind="stable")
-        self._orig_idx = np.ascontiguousarray(order.astype(np.int64))
-        self._ref_sorted = np.ascontiguousarray(self.points[order])
-        self._cell_start = np.searchsorted(flat[order], np.arange(n_cells + 1)).astype(np.int64)
-
-    def query(self, queries, upper_bound=np.inf):
-        """Nearest reference point for each query within upper_bound.
-
-        Returns (distances, indices); a miss yields (inf, -1). Equidistant
-        candidates resolve to the lowest point index.
-        """
-        q = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float64)
-        if not np.isfinite(upper_bound):
-            # exact search needs a finite scan radius; use the diameter
-            span = self.points.max(axis=0) - self.points.min(axis=0)
-            upper_bound = float(np.linalg.norm(span)) + 2 * self.cell_size + np.linalg.norm(
-                np.max(np.abs(q), axis=0) + 1.0
-            )
-        return _query_kernel(
-            q,
-            self._ref_sorted,
-            self._orig_idx,
-            self._cell_start,
-            self._origin,
-            1.0 / self.cell_size,
-            self.cell_size,
-            self._dims,
-            float(upper_bound),
-        )
-
 
 class KDTreeIndex:
-    """cKDTree-backed fallback with the same query contract as GridIndex."""
+    """Nearest-neighbour queries with an optional distance upper bound."""
 
     def __init__(self, points, leafsize=32):
         from scipy.spatial import cKDTree
@@ -153,16 +18,11 @@ class KDTreeIndex:
         self._tree = cKDTree(self.points, leafsize=leafsize)
 
     def query(self, queries, upper_bound=np.inf):
+        """Nearest reference point for each query within upper_bound.
+
+        Returns (distances, indices); a miss yields (inf, -1).
+        """
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         d, i = self._tree.query(q, workers=-1, distance_upper_bound=upper_bound)
         i = np.where(np.isinf(d), -1, i).astype(np.int64)
         return d, i
-
-
-def make_index(points, cell_size=0.025):
-    if _HAVE_NUMBA:
-        try:
-            return GridIndex(points, cell_size=cell_size)
-        except ValueError:
-            pass
-    return KDTreeIndex(points)

@@ -284,8 +284,11 @@ def finalize_map(obj_map, total_keyframes):
     half-diagonals. A same-label object's configurations join the host's; a
     different-label object (a label confusion) adds only its update count.
     Each kept object's configurations are then ordered by sample count, most
-    first. The input map is left unmodified.
+    first. The input map is left unmodified. A finalized or loaded map is
+    rejected: its update counts no longer feed the persistence filter.
     """
+    if obj_map.finalized:
+        raise ValueError("cannot finalize a finalized map")
     if obj_map.processed_keyframes > total_keyframes:
         raise ValueError(
             f"processed {obj_map.processed_keyframes} key frames > declared {total_keyframes}"

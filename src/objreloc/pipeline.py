@@ -11,7 +11,7 @@ at the 5cm/5, 10cm/10, 15cm/15 thresholds.
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,9 +62,10 @@ class RelocResult:
     debug: dict | None = None
 
     def __post_init__(self):
-        if self.status == "success":
-            assert self.pose_ao is not None and self.pose_final is not None
-            assert self.inlier_count >= 3
+        if self.status == "success" and (
+            self.pose_ao is None or self.pose_final is None or self.inlier_count < 3
+        ):
+            raise ValueError(f"frame {self.frame_id}: a success needs both poses and >= 3 inliers")
 
 
 @dataclass
@@ -236,6 +237,11 @@ def evaluate(results, gt_poses, thresholds=DEFAULT_THRESHOLDS, config_echo=None)
 # benchmark configuration
 
 
+def _defaults(params_cls, seed_field=None):
+    """Field defaults of a params dataclass, less the field the top-level seed sets."""
+    return {k: v for k, v in asdict(params_cls()).items() if k != seed_field}
+
+
 def _default_config():
     return {
         "seed": 0,
@@ -246,17 +252,7 @@ def _default_config():
             "plane_height": 0.0,
             "plane_extent": 1.0,
         },
-        "noise": {
-            "sigma_centroid": 0.01,
-            "sigma_scale": 0.05,
-            "sigma_rot": 5.0,
-            "p_flip": 0.15,
-            "flip_offset": 0.12,
-            "p_false_negative": 0.1,
-            "false_positive_rate": 0.2,
-            "p_label_confusion": 0.05,
-            "sigma_depth": 0.005,
-        },
+        "noise": _defaults(NoiseParams, "seed"),
         "sensor": {"fov_deg": 90.0, "width": 160, "height": 120, "max_range": 5.0},
         "mcs": {
             "kind": "orbit_horizontal",
@@ -275,22 +271,8 @@ def _default_config():
             {"kind": "h", "view_change_deg": 180.0, "sweep_deg": 20.0, "frame_count": 33,
              "radius": None, "height": None},
         ],
-        "fusion": {
-            "tau": FusionParams().tau,
-            "chi2_gate": FusionParams().chi2_gate,
-            "min_update_fraction": 0.25,
-            "min_updates": 2,
-        },
-        "reloc": {
-            "decay": 1.0,
-            "inlier_threshold": 0.10,
-            "ransac_max_iters": 500,
-            "w1": 1.0,
-            "w2": 1.0,
-            "use_icp": True,
-            "icp_max_points": 20000,
-            "normalize_icp_terms": False,
-        },
+        "fusion": _defaults(FusionParams),
+        "reloc": _defaults(RelocParams, "ransac_seed"),
         "surface": {"voxel": 0.01, "sigma_depth": 0.0},
         "thresholds": [[0.05, 5.0], [0.10, 10.0], [0.15, 15.0]],
         "threads": 1,
@@ -375,17 +357,7 @@ def run_benchmark(config=None, ablate_icp=False):
     sensor = SensorParams(**cfg["sensor"])
     noise = NoiseParams(**cfg["noise"], seed=seed)
     fusion = FusionParams(**cfg["fusion"])
-    reloc_params = RelocParams(
-        decay=cfg["reloc"]["decay"],
-        inlier_threshold=cfg["reloc"]["inlier_threshold"],
-        ransac_max_iters=cfg["reloc"]["ransac_max_iters"],
-        ransac_seed=seed,
-        w1=cfg["reloc"]["w1"],
-        w2=cfg["reloc"]["w2"],
-        use_icp=cfg["reloc"]["use_icp"],
-        icp_max_points=cfg["reloc"]["icp_max_points"],
-        normalize_icp_terms=cfg["reloc"]["normalize_icp_terms"],
-    )
+    reloc_params = RelocParams(**cfg["reloc"], ransac_seed=seed)
     timing = {"simulate_ms": 0.0, "build_map_ms": 0.0}
 
     scene = generate_scene(

@@ -22,7 +22,7 @@ from .errors import (
     TooFewPairs,
 )
 from .geometry import COVARIANCE_FLOOR, RigidTransform, exp_so3, nearest_rotation
-from .gridnn import KDTreeIndex, make_index
+from .gridnn import KDTreeIndex
 from .validation import as_points, as_vector3, check_covariance
 
 GN_MAX_ITERATIONS = 50
@@ -57,9 +57,9 @@ class WeightedPair:
 class SurfaceModel:
     """Dense map stand-in: world points with unit normals and a spatial index.
 
-    Immutable after construction; the index supports nearest-neighbour queries
-    with deterministic lowest-index tie-breaking, so one model can be shared
-    across concurrent relocalisation workers.
+    Immutable after construction; nearest-neighbour queries are exact and
+    read-only, so one model can be shared across concurrent relocalisation
+    workers.
     """
 
     def __init__(self, points, normals):
@@ -73,7 +73,7 @@ class SurfaceModel:
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("normals must be unit length within 1e-6")
         self.normals = normals
-        self._index = make_index(self.points)
+        self._index = KDTreeIndex(self.points)
 
     def __len__(self):
         return len(self.points)
@@ -160,6 +160,18 @@ def ao_cost_and_gradient(pairs, pose):
     return cost, grad
 
 
+def _skew(y):
+    """Batched cross-product matrices: _skew(y)[n] @ v == np.cross(y[n], v)."""
+    yx = np.zeros((len(y), 3, 3))
+    yx[:, 0, 1] = -y[:, 2]
+    yx[:, 0, 2] = y[:, 1]
+    yx[:, 1, 0] = y[:, 2]
+    yx[:, 1, 2] = -y[:, 0]
+    yx[:, 2, 0] = -y[:, 1]
+    yx[:, 2, 1] = y[:, 0]
+    return yx
+
+
 def _weighted_cost(f, m, w, rot, t):
     r = m - (f @ rot.T + t)
     return float(np.einsum("ni,nij,nj->", r, w, r))
@@ -189,14 +201,7 @@ def probabilistic_ao(pairs, init):
         wr = np.einsum("nij,nj->ni", w, r)
         # J_i = [ [y_i]x  -I ] per residual r_i = m_i - y_i
         jac = np.empty((len(pairs), 3, 6))
-        yx = np.zeros((len(pairs), 3, 3))
-        yx[:, 0, 1] = -y[:, 2]
-        yx[:, 0, 2] = y[:, 1]
-        yx[:, 1, 0] = y[:, 2]
-        yx[:, 1, 2] = -y[:, 0]
-        yx[:, 2, 0] = -y[:, 1]
-        yx[:, 2, 1] = y[:, 0]
-        jac[:, :, :3] = yx
+        jac[:, :, :3] = _skew(y)
         jac[:, :, 3:] = -np.eye(3)
         jtw = np.einsum("nki,nkl->nil", jac, w)
         h = np.einsum("nik,nkl->il", jtw, jac)
@@ -374,14 +379,7 @@ def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target, w1, w2):
         plane_cost = w1 * float(e @ e)
     if w2 > 0.0 and len(cent_y) > 0:
         r = cent_target - cent_y
-        yx = np.zeros((len(cent_y), 3, 3))
-        yx[:, 0, 1] = -cent_y[:, 2]
-        yx[:, 0, 2] = cent_y[:, 1]
-        yx[:, 1, 0] = cent_y[:, 2]
-        yx[:, 1, 2] = -cent_y[:, 0]
-        yx[:, 2, 0] = -cent_y[:, 1]
-        yx[:, 2, 1] = cent_y[:, 0]
-        jac = np.concatenate([yx, -np.tile(np.eye(3), (len(cent_y), 1, 1))], axis=2)
+        jac = np.concatenate([_skew(cent_y), -np.tile(np.eye(3), (len(cent_y), 1, 1))], axis=2)
         h += w2 * np.einsum("nki,nkj->ij", jac, jac)
         b -= w2 * np.einsum("nki,nk->i", jac, r)
         cent_cost = w2 * float(np.einsum("ni,ni->", r, r))
@@ -403,24 +401,15 @@ def icp_assign(frame_points, surface, pose, d_max=ICP_D_MAX_END):
 def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose, w1=1.0, w2=1.0):
     """Combined ICP cost and local-chart gradient at pose for a FIXED
     correspondence assignment. Oracle hook for finite-difference checks."""
-    cost = 0.0
-    grad = np.zeros(6)
-    if w1 > 0.0 and len(frame_pts) > 0:
-        y = np.asarray(frame_pts) @ pose.rotation.T + pose.translation
-        e = np.einsum("ni,ni->n", map_normals, np.asarray(map_pts) - y)
-        g = np.concatenate([np.cross(y, map_normals), map_normals], axis=1)
-        cost += w1 * float(e @ e)
-        # e(delta) = e0 - g^T delta  =>  dC/ddelta = -2 w1 sum g e
-        grad += -2.0 * w1 * (g.T @ e)
-    if w2 > 0.0 and pairs:
-        cf = np.array([p.frame_point for p in pairs])
-        cm = np.array([p.map_mean for p in pairs])
-        cy = cf @ pose.rotation.T + pose.translation
-        r = cm - cy
-        cost += w2 * float(np.einsum("ni,ni->", r, r))
-        grad[:3] += -2.0 * w2 * np.cross(cy, r).sum(axis=0)
-        grad[3:] += -2.0 * w2 * r.sum(axis=0)
-    return cost, grad
+    y = np.asarray(frame_pts, dtype=np.float64).reshape(-1, 3) @ pose.rotation.T + pose.translation
+    cf = np.array([p.frame_point for p in pairs]).reshape(-1, 3)
+    cm = np.array([p.map_mean for p in pairs]).reshape(-1, 3)
+    _, b, cost = _icp_system(
+        y, np.asarray(map_pts), np.asarray(map_normals),
+        cf @ pose.rotation.T + pose.translation, cm, w1, w2,
+    )
+    # b is the Gauss-Newton right-hand side, minus half the cost's gradient
+    return cost, -2.0 * b
 
 
 def depth_centroid_icp(
@@ -466,7 +455,7 @@ def depth_centroid_icp(
         # 45-degree compatibility test cannot be trusted there; require the
         # patch to be planar relative to the cloud's own noise floor
         planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
-        planar = variation <= planar_gate
+        planar = np.flatnonzero(variation <= planar_gate)
     cos_gate = np.cos(np.deg2rad(normal_angle_deg))
 
     cent_f = np.array([p.frame_point for p in inlier_pairs]) if inlier_pairs else np.zeros((0, 3))
@@ -478,12 +467,6 @@ def depth_centroid_icp(
     cost = 0.0
     converged = False
     it = 0
-    # lower bound on each point's NN distance, maintained across iterations so
-    # provably-gated-out points skip the query (exact: bounds only ever relax
-    # by the pose-change displacement)
-    dist_bound = np.zeros(len(pts)) if use_planes else None
-    last_dist = np.full(len(pts), np.inf) if use_planes else None
-    last_idx = np.full(len(pts), -1, dtype=np.int64) if use_planes else None
     at_final_gate = False
     for it in range(1, max_iterations + 1):
         frac = (it - 1) / max(max_iterations - 1, 1)
@@ -491,27 +474,19 @@ def depth_centroid_icp(
         at_final_gate = at_final_gate or d_max == d_max_end
         y_all = pts @ rot.T + t
         if use_planes:
-            need = planar & (dist_bound <= d_max)
-            if np.any(need):
-                d_new, i_new = surface.nearest(y_all[need], upper_bound=d_max)
-                last_dist[need] = d_new
-                last_idx[need] = i_new
-                dist_bound[need] = np.where(np.isinf(d_new), d_max, d_new)
-            accept = need & (last_idx >= 0) & (last_dist <= d_max)
-            if np.any(accept):
-                nrm_w = frame_normals[accept] @ rot.T
-                map_n = surface.normals[last_idx[accept]]
-                ok = np.abs(np.einsum("ni,ni->n", nrm_w, map_n)) >= cos_gate
-                acc_idx = np.flatnonzero(accept)[ok]
-            else:
-                acc_idx = np.array([], dtype=np.int64)
+            _, nn = surface.nearest(y_all[planar], upper_bound=d_max)
+            hit = nn >= 0
+            cand, nn = planar[hit], nn[hit]
+            nrm_w = frame_normals[cand] @ rot.T
+            ok = np.abs(np.einsum("ni,ni->n", nrm_w, surface.normals[nn])) >= cos_gate
+            acc_idx, map_idx = cand[ok], nn[ok]
             if len(acc_idx) == 0:
                 raise NoCorrespondences(
                     f"all {len(pts)} depth points rejected at iteration {it} (d_max={d_max:.3f})"
                 )
             yk = y_all[acc_idx]
-            qk = surface.points[last_idx[acc_idx]]
-            nk = surface.normals[last_idx[acc_idx]]
+            qk = surface.points[map_idx]
+            nk = surface.normals[map_idx]
         else:
             yk = np.zeros((0, 3))
             qk = yk
@@ -524,12 +499,6 @@ def depth_centroid_icp(
             initial_cost = cost
         delta = np.linalg.lstsq(h, b, rcond=None)[0]
         rot, t = _apply_delta(delta, rot, t)
-        if use_planes:
-            # pose change displaces points by at most |dt| + |dtheta| * radius
-            radius = float(np.linalg.norm(y_all, axis=1).max()) if len(y_all) else 0.0
-            moved = float(np.linalg.norm(delta[3:]) + np.linalg.norm(delta[:3]) * radius)
-            dist_bound = np.maximum(dist_bound - moved, 0.0)
-            last_dist = last_dist + moved
         if np.linalg.norm(delta) < update_tol:
             # converging mid-schedule only means this gate's pair set is
             # stable; jump the anneal to its final gate and reconverge there
@@ -538,16 +507,8 @@ def depth_centroid_icp(
                 break
             at_final_gate = True
     # cost after the final update, on the final correspondence set
-    y_fin = pts @ rot.T + t
-    if use_planes:
-        yk_f = y_fin[acc_idx]
-        e = np.einsum("ni,ni->n", nk, qk - yk_f)
-        final_cost = w1_eff * float(e @ e)
-    else:
-        final_cost = 0.0
-    if len(cent_f):
-        r = cent_m - (cent_f @ rot.T + t)
-        final_cost += w2_eff * float(np.einsum("ni,ni->", r, r))
+    yk_fin = (pts @ rot.T + t)[acc_idx] if use_planes else yk
+    final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m, w1_eff, w2_eff)[2]
     return RegistrationResult(
         pose=RigidTransform(rot, t),
         inliers=tuple(range(len(inlier_pairs))),

@@ -14,6 +14,7 @@ from objreloc.mapping import (
     finalize_map,
     integrate_keyframe,
     load_map,
+    map_from_json,
     map_to_json,
     save_map,
     select_or_merge_configurations,
@@ -358,6 +359,18 @@ class TestMapFile:
         final = finalize_map(m, 1)
         with pytest.raises(ValueError):
             integrate_keyframe(final, make_frame([]), RigidTransform.identity())
+
+    def test_finalize_rejects_finalized_or_loaded_map(self):
+        m = ObjectMap()
+        obj = single_config_object()
+        obj.update_count = 2
+        m.objects.append(obj)
+        final = finalize_map(m, 1)
+        assert len(final) == 1
+        loaded = map_from_json(map_to_json(final))
+        for done in (final, loaded):
+            with pytest.raises(ValueError):
+                finalize_map(done, 1)
 
     def test_json_shape(self):
         m = ObjectMap([single_config_object("mug")])

@@ -158,6 +158,13 @@ class TestEvaluate:
         with pytest.raises(MissingGroundTruth):
             evaluate([self.result(5, self.pose())], {})
 
+    def test_invalid_success_raises(self):
+        pose = self.pose()
+        for ao, final, inliers in ((None, pose, 4), (pose, None, 4), (pose, pose, 2)):
+            with pytest.raises(ValueError):
+                RelocResult(0, "success", None, ao, final, inlier_count=inliers)
+        RelocResult(0, "failed", "NoConsensus", inlier_count=2)
+
     def test_rates_monotone(self):
         rng = np.random.default_rng(0)
         gt = {}

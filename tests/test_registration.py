@@ -411,3 +411,19 @@ class TestSurfaceModel:
         s = SurfaceModel(pts, nrm)
         _, idx = s.nearest(np.array([[0.0, 0.0, 0.0]]))
         assert idx[0] == 0
+
+    def test_nearest_matches_brute_force(self):
+        rng = np.random.default_rng(15)
+        pts = rng.uniform(-1, 1, (500, 3))
+        s = SurfaceModel(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+        queries = rng.uniform(-1.2, 1.2, (200, 3))
+        all_d = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
+        want_i = all_d.argmin(axis=1)
+        want_d = all_d.min(axis=1)
+        for bound in (np.inf, np.median(want_d)):
+            d, idx = s.nearest(queries, upper_bound=bound)
+            near = want_d < bound
+            assert near.any() and near.all() == np.isinf(bound)
+            assert np.array_equal(idx[near], want_i[near])
+            assert np.allclose(d[near], want_d[near], rtol=0, atol=1e-12)
+            assert np.all(np.isinf(d[~near])) and np.all(idx[~near] == -1)
