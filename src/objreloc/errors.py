@@ -1,8 +1,4 @@
-"""Exception hierarchy shared across the package.
-
-The CLI maps these onto exit codes: ConfigError -> 1, file/parse errors -> 2,
-everything else derived from ObjRelocError -> 3.
-"""
+"""Exception hierarchy shared across the package."""
 
 
 class ObjRelocError(Exception):

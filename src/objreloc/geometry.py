@@ -9,7 +9,7 @@ Conventions: rotations are 3x3 row-major orthonormal matrices with det +1,
 translations and points are metres, angles returned in degrees.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,10 @@ from .validation import as_matrix3, as_vector3, check_covariance, check_rotation
 # Eigenvalue floor applied to every centroid covariance so that Mahalanobis
 # distances stay defined even for single-sample configurations.
 COVARIANCE_FLOOR = 1e-6
+
+# Centroid prior of GaussianCentroid.from_samples (see there)
+CENTROID_PRIOR_SIGMA = 0.02  # m
+MIN_SAMPLES_FOR_COV = 3
 
 _ORTHONORMALITY_DRIFT = 1e-9
 
@@ -232,30 +236,25 @@ def box_iou(b1, b2):
     return float(min(inter / union, 1.0))
 
 
-def regularize_covariance(cov, floor=COVARIANCE_FLOOR):
-    """Symmetrise and clip eigenvalues to the floor."""
+def regularize_covariance(cov):
+    """Symmetrise and clip eigenvalues to COVARIANCE_FLOOR."""
     c = 0.5 * (np.asarray(cov, dtype=np.float64) + np.asarray(cov, dtype=np.float64).T)
     w, v = np.linalg.eigh(c)
-    if w[0] >= floor:
+    if w[0] >= COVARIANCE_FLOOR:
         return c
-    w = np.maximum(w, floor)
+    w = np.maximum(w, COVARIANCE_FLOOR)
     c = (v * w) @ v.T
     return 0.5 * (c + c.T)
 
 
 @dataclass(frozen=True)
 class GaussianCentroid:
-    """Normally distributed centroid N(mean, covariance) for one box configuration.
-
-    samples retains the assigned centroid observations (an (n, 3) array) so
-    that configurations can be re-pooled on merge; it is None for summarised
-    centroids loaded from a map file, which can no longer be updated.
-    """
+    """Normally distributed centroid N(mean, covariance) for one box
+    configuration, estimated from sample_count observations."""
 
     mean: np.ndarray
     covariance: np.ndarray
     sample_count: int
-    samples: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_vector3(self.mean, "mean"))
@@ -264,34 +263,28 @@ class GaussianCentroid:
         object.__setattr__(self, "sample_count", int(self.sample_count))
         if self.sample_count < 0:
             raise ValueError("sample_count: must be non-negative")
-        if self.samples is not None:
-            s = np.asarray(self.samples, dtype=np.float64).reshape(-1, 3)
-            if s.shape[0] != self.sample_count:
-                raise ValueError(
-                    f"sample_count {self.sample_count} != number of samples {s.shape[0]}"
-                )
-            object.__setattr__(self, "samples", s)
 
     @staticmethod
-    def from_samples(samples, prior_sigma=0.02, min_samples_for_cov=3, floor=COVARIANCE_FLOOR):
-        """Mean + covariance of retained samples.
+    def from_samples(samples):
+        """Mean + covariance of centroid observations.
 
-        Below min_samples_for_cov observations the covariance is the isotropic
-        prior prior_sigma^2 * I; from then on the unbiased sample covariance
-        plus the decaying prior term (prior_sigma^2 / n) I. The blend keeps
-        the gate calibrated while the sample covariance is still rank-deficient
-        (3 points span only a plane) and washes out as evidence accumulates.
+        Below MIN_SAMPLES_FOR_COV observations the covariance is the isotropic
+        prior CENTROID_PRIOR_SIGMA^2 * I; from then on the unbiased sample
+        covariance plus the decaying prior term (CENTROID_PRIOR_SIGMA^2 / n) I.
+        The blend keeps the gate calibrated while the sample covariance is
+        still rank-deficient (3 points span only a plane) and washes out as
+        evidence accumulates.
         """
         s = np.asarray(samples, dtype=np.float64).reshape(-1, 3)
         n = s.shape[0]
         if n == 0:
             raise ValueError("from_samples: empty sample list")
         mean = s.mean(axis=0)
-        if n < min_samples_for_cov:
-            cov = np.eye(3) * prior_sigma**2
+        if n < MIN_SAMPLES_FOR_COV:
+            cov = np.eye(3) * CENTROID_PRIOR_SIGMA**2
         else:
-            cov = np.cov(s.T, ddof=1) + np.eye(3) * (prior_sigma**2 / n)
-        return GaussianCentroid(mean, regularize_covariance(cov, floor), n, s)
+            cov = np.cov(s.T, ddof=1) + np.eye(3) * (CENTROID_PRIOR_SIGMA**2 / n)
+        return GaussianCentroid(mean, regularize_covariance(cov), n)
 
 
 def mahalanobis_sq(x, g):

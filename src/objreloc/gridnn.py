@@ -2,20 +2,22 @@
 
 ICP queries every planar frame point against the surface model once per
 iteration. Queries carry ICP's distance gate as an upper bound, which prunes
-the tree search; a point with no surface point within it is a miss.
+the tree search; a point with no surface point within it is a miss. Normal
+estimation asks for each frame point's k nearest frame points.
 """
 
 import numpy as np
 
 
 class KDTreeIndex:
-    """Nearest-neighbour queries with an optional distance upper bound."""
+    """Nearest-neighbour queries with an optional distance upper bound, and
+    k-nearest-neighbour queries."""
 
-    def __init__(self, points, leafsize=32):
+    def __init__(self, points):
         from scipy.spatial import cKDTree
 
         self.points = np.ascontiguousarray(points, dtype=np.float64)
-        self._tree = cKDTree(self.points, leafsize=leafsize)
+        self._tree = cKDTree(self.points, leafsize=32)
 
     def query(self, queries, upper_bound=np.inf):
         """Nearest reference point for each query within upper_bound.
@@ -26,3 +28,8 @@ class KDTreeIndex:
         d, i = self._tree.query(q, workers=-1, distance_upper_bound=upper_bound)
         i = np.where(np.isinf(d), -1, i).astype(np.int64)
         return d, i
+
+    def query_knn(self, queries, k):
+        """Indices (len(queries), k) of the k nearest reference points of each
+        query, nearest first; k must not exceed the number of points."""
+        return self._tree.query(queries, k=k, workers=-1)[1]

@@ -40,9 +40,6 @@ from .scene import DEFAULT_SENSOR, in_frustum
 # inverse chi-squared(3) CDF at 1 - 0.001; the configuration gate
 CHI2_GATE_3DOF = 16.26623619623813
 
-CONFIG_PRIOR_SIGMA = 0.02  # m, centroid prior below 3 samples
-MIN_SAMPLES_FOR_COV = 3
-
 
 @dataclass(frozen=True)
 class FusionParams:
@@ -109,9 +106,7 @@ class Configuration:
         self._recompute()
 
     def _recompute(self):
-        self.centroid = GaussianCentroid.from_samples(
-            np.array(self.samples), CONFIG_PRIOR_SIGMA, MIN_SAMPLES_FOR_COV
-        )
+        self.centroid = GaussianCentroid.from_samples(np.array(self.samples))
         try:
             rot = rotation_mean(self.orientations)
         except DegenerateRotations:
@@ -365,7 +360,7 @@ def map_from_json(doc):
             for c in rec["configurations"]:
                 mean = np.array(c["mean"], dtype=np.float64)
                 cov = np.array(c["covariance"], dtype=np.float64).reshape(3, 3)
-                centroid = GaussianCentroid(mean, cov, int(c["sample_count"]), None)
+                centroid = GaussianCentroid(mean, cov, int(c["sample_count"]))
                 box = OrientedBox.create(
                     mean,
                     np.array(c["rotation"], dtype=np.float64).reshape(3, 3),

@@ -14,8 +14,6 @@ import numpy as np
 
 from .validation import as_vector3
 
-EIGEN_TOL = 1e-10
-EIGEN_MAX_ITERS = 10_000
 SCORE_FLOOR = 1e-6
 
 
@@ -58,10 +56,10 @@ def _conflict(a, b):
     return a.frame_index == b.frame_index or a.map_object_index == b.map_object_index
 
 
-def build_adjacency(frame_objects, obj_map, decay=1.0):
+def build_adjacency(frame_objects, obj_map):
     """Candidate list and pairwise-consistency matrix A.
 
-    A[i, i] = min(s_f / s_m, s_m / s_f); A[i, j] = exp(-|d_f - d_m| / decay)
+    A[i, i] = min(s_f / s_m, s_m / s_f); A[i, j] = exp(-|d_f - d_m|)
     for compatible candidate pairs, 0 for conflicting ones. Distances are
     Euclidean between the two frame centroids and between the two map
     configuration means, in metres. Frame objects may be given in any rigid
@@ -95,7 +93,7 @@ def build_adjacency(frame_objects, obj_map, decay=1.0):
     sm = np.array([c.map_scale for c in candidates])
     df = np.linalg.norm(fc[:, None, :] - fc[None, :, :], axis=2)
     dm = np.linalg.norm(mc[:, None, :] - mc[None, :, :], axis=2)
-    off = np.exp(-np.abs(df - dm) / decay)
+    off = np.exp(-np.abs(df - dm))
     fi = np.array([c.frame_index for c in candidates])
     mi = np.array([c.map_object_index for c in candidates])
     compat = (fi[:, None] != fi[None, :]) & (mi[:, None] != mi[None, :])
@@ -105,39 +103,22 @@ def build_adjacency(frame_objects, obj_map, decay=1.0):
 
 
 def principal_eigenvector(a):
-    """Principal eigenvector by power iteration from the uniform vector.
+    """Unit eigenvector of the largest eigenvalue of the symmetric part of a.
 
-    Returns (unit vector with non-negative entries, degenerate flag). The
-    sign is fixed so the largest-magnitude entry is positive. The flag is set
-    for a zero matrix or when the top of the spectrum is (numerically)
-    repeated, in which case the vector is not unique.
+    Returns (vector, degenerate flag). The sign is fixed so the
+    largest-magnitude entry is positive. The flag is set for a zero matrix or
+    when the top of the spectrum is (numerically) repeated; the vector is then
+    not unique, and the uniform vector is returned in its place.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
     if n == 0:
         return np.zeros(0), True
-    v = np.full(n, 1.0 / np.sqrt(n))
-    if not np.any(a):
-        return v, True
-    for _ in range(EIGEN_MAX_ITERS):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return np.full(n, 1.0 / np.sqrt(n)), True
-        w = w / norm
-        if np.abs(w - v).max() < EIGEN_TOL:
-            v = w
-            break
-        v = w
-    imax = int(np.argmax(np.abs(v)))
-    if v[imax] < 0.0:
-        v = -v
-    degenerate = False
-    if n > 1:
-        eigs = np.linalg.eigvalsh(0.5 * (a + a.T))
-        gap = eigs[-1] - eigs[-2]
-        degenerate = gap <= 1e-9 * max(1.0, abs(eigs[-1]))
-    return v, degenerate
+    eigs, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    if not np.any(a) or (n > 1 and eigs[-1] - eigs[-2] <= 1e-9 * max(1.0, abs(eigs[-1]))):
+        return np.full(n, 1.0 / np.sqrt(n)), True
+    v = vecs[:, -1]
+    return (v if v[np.argmax(np.abs(v))] > 0.0 else -v), False
 
 
 def greedy_select(candidates, eigvec):
@@ -169,8 +150,8 @@ def greedy_select(candidates, eigvec):
     return CorrespondenceSet(tuple(chosen), np.array(scores))
 
 
-def match_frame_to_map(frame_objects, obj_map, decay=1.0):
+def match_frame_to_map(frame_objects, obj_map):
     """Full matching chain: adjacency, eigenvector, greedy selection."""
-    candidates, a = build_adjacency(frame_objects, obj_map, decay)
+    candidates, a = build_adjacency(frame_objects, obj_map)
     eigvec, _ = principal_eigenvector(a)
     return greedy_select(candidates, eigvec)

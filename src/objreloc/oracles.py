@@ -2,8 +2,7 @@
 
 Each oracle recomputes a quantity by enumeration, Monte-Carlo sampling,
 finite differences or derivative-free search, sharing as little code as
-possible with the implementation it checks. The test suite and the CLI
-``oracle`` subcommand both run these.
+possible with the implementation it checks. The test suite runs these.
 """
 
 import itertools

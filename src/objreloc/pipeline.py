@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import rotation_angle_between
 from .mapping import FusionParams, ObjectMap, finalize_map, integrate_keyframe
 from .matching import build_adjacency, greedy_select, principal_eigenvector
-from .registration import WeightedPair, depth_centroid_icp, ransac_ao
+from .registration import ICP_MAX_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
 from .scene import SensorParams, TrajectorySpec, build_surface_model, generate_scene, generate_trajectory
 
 DEFAULT_THRESHOLDS = ((0.05, 5.0), (0.10, 10.0), (0.15, 15.0))
@@ -38,15 +38,9 @@ MIN_CORRESPONDENCES = 3
 
 @dataclass(frozen=True)
 class RelocParams:
-    decay: float = 1.0
-    inlier_threshold: float = 0.10
-    ransac_max_iters: int = 500
     ransac_seed: int = 0
-    w1: float = 1.0
-    w2: float = 1.0
     use_icp: bool = True
-    icp_max_points: int = 20000
-    normalize_icp_terms: bool = False
+    icp_max_points: int = ICP_MAX_POINTS
 
 
 @dataclass
@@ -133,9 +127,9 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
     """
     params = params or RelocParams()
     frame = frame.strip_gt()
-    timing = {"detect_ms": 0.0, "match_ms": 0.0, "ao_ms": 0.0, "icp_ms": 0.0}
+    timing = {"match_ms": 0.0, "ao_ms": 0.0, "icp_ms": 0.0}
     t0 = time.perf_counter()
-    candidates, adjacency = build_adjacency(frame.objects, obj_map, params.decay)
+    candidates, adjacency = build_adjacency(frame.objects, obj_map)
     eigvec, _ = principal_eigenvector(adjacency)
     selected = greedy_select(candidates, eigvec)
     timing["match_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -162,7 +156,7 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
     pairs = _to_weighted_pairs(selected)
     t0 = time.perf_counter()
     try:
-        ao = ransac_ao(pairs, params.inlier_threshold, params.ransac_max_iters, params.ransac_seed)
+        ao = ransac_ao(pairs, seed=params.ransac_seed)
     except (NoConsensus, TooFewPairs, CollinearPoints, NonDecreasingCost) as exc:
         timing["ao_ms"] = (time.perf_counter() - t0) * 1000.0
         return RelocResult(frame.frame_id, "failed", type(exc).__name__,
@@ -175,11 +169,8 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
         inlier_pairs = [pairs[i] for i in ao.inliers]
         t0 = time.perf_counter()
         try:
-            icp = depth_centroid_icp(
-                frame.depth_points, surface, inlier_pairs, ao.pose,
-                w1=params.w1, w2=params.w2, max_points=params.icp_max_points,
-                normalize_terms=params.normalize_icp_terms,
-            )
+            icp = depth_centroid_icp(frame.depth_points, surface, inlier_pairs, ao.pose,
+                                     max_points=params.icp_max_points)
         except NoCorrespondences as exc:
             timing["icp_ms"] = (time.perf_counter() - t0) * 1000.0
             return RelocResult(frame.frame_id, "failed", type(exc).__name__,
@@ -326,9 +317,6 @@ def resolve_config(user=None):
     _check(cfg["mcs"]["keyframe_every"] >= 1, "mcs.keyframe_every", "must be >= 1")
     _check(cfg["sensor"]["width"] >= 2 and cfg["sensor"]["height"] >= 2, "sensor", "grid too small")
     _check(0 < cfg["fusion"]["tau"] < 1, "fusion.tau", "must be in (0, 1)")
-    _check(cfg["reloc"]["inlier_threshold"] > 0, "reloc.inlier_threshold", "must be > 0")
-    _check(cfg["reloc"]["w1"] >= 0 and cfg["reloc"]["w2"] >= 0, "reloc", "weights must be >= 0")
-    _check(cfg["reloc"]["w1"] + cfg["reloc"]["w2"] > 0, "reloc", "w1 and w2 cannot both be 0")
     _check(cfg["threads"] >= 1, "threads", "must be >= 1")
     for i, seg in enumerate(cfg["rs_segments"]):
         _check(seg["kind"] in ("h", "v"), f"rs_segments[{i}].kind", "must be 'h' or 'v'")

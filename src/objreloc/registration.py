@@ -38,6 +38,8 @@ ICP_NORMAL_ANGLE_DEG = 45.0
 ICP_PCA_NEIGHBORS = 16
 ICP_MAX_POINTS = 20000
 
+RANSAC_MAX_ITERS = 500
+
 
 @dataclass(frozen=True)
 class WeightedPair:
@@ -249,13 +251,13 @@ def probabilistic_ao(pairs, init):
     )
 
 
-def ransac_ao(pairs, inlier_threshold=0.10, max_iters=500, seed=0):
+def ransac_ao(pairs, inlier_threshold=0.10, seed=0):
     """RANSAC over minimal 3-correspondence sets, then probabilistic refit on inliers.
 
-    All C(n,3) subsets are enumerated when that count fits in max_iters,
-    making the estimate deterministic; otherwise max_iters seeded random
-    subsets are drawn. Hypotheses are ranked by inlier count with ties broken
-    by lower summed inlier residual. Raises NoConsensus when the best
+    All C(n,3) subsets are enumerated when that count fits in
+    RANSAC_MAX_ITERS, making the estimate deterministic; otherwise
+    RANSAC_MAX_ITERS seeded random subsets are drawn. Hypotheses are ranked by
+    inlier count with ties broken by lower summed inlier residual. Raises NoConsensus when the best
     hypothesis has fewer than 3 inliers.
     """
     import itertools
@@ -265,11 +267,11 @@ def ransac_ao(pairs, inlier_threshold=0.10, max_iters=500, seed=0):
     if n < 3:
         raise TooFewPairs(f"ransac_ao needs >= 3 pairs, got {n}")
     f, m, _ = _stack_pairs(pairs)
-    if comb(n, 3) <= max_iters:
+    if comb(n, 3) <= RANSAC_MAX_ITERS:
         triples = itertools.combinations(range(n), 3)
     else:
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
-        triples = (sorted(rng.choice(n, size=3, replace=False)) for _ in range(max_iters))
+        triples = (sorted(rng.choice(n, size=3, replace=False)) for _ in range(RANSAC_MAX_ITERS))
 
     best_score = None
     best_inliers = None
@@ -339,8 +341,9 @@ def _cardano_smallest_eigvec(cov):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def estimate_normals(points, k=ICP_PCA_NEIGHBORS):
-    """Unoriented per-point normals via PCA over the k nearest neighbours.
+def estimate_normals(points):
+    """Unoriented per-point normals via PCA over the ICP_PCA_NEIGHBORS nearest
+    neighbours.
 
     Returns (normals, surface_variation) where surface_variation is the
     smallest-eigenvalue fraction lambda_min / trace of each neighbourhood
@@ -351,9 +354,7 @@ def estimate_normals(points, k=ICP_PCA_NEIGHBORS):
     n = len(pts)
     if n < 3:
         return np.tile([0.0, 0.0, 1.0], (n, 1)), np.zeros(n)
-    k = min(k, n)
-    tree = KDTreeIndex(pts)._tree
-    _, idx = tree.query(pts, k=k, workers=-1)
+    idx = KDTreeIndex(pts).query_knn(pts, min(ICP_PCA_NEIGHBORS, n))
     nbrs = pts[idx]
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
@@ -412,30 +413,18 @@ def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose, w1=1.0, 
     return cost, -2.0 * b
 
 
-def depth_centroid_icp(
-    frame_points,
-    surface,
-    inlier_pairs,
-    init,
-    w1=1.0,
-    w2=1.0,
-    max_iterations=ICP_ITERATIONS,
-    d_max_start=ICP_D_MAX_START,
-    d_max_end=ICP_D_MAX_END,
-    normal_angle_deg=ICP_NORMAL_ANGLE_DEG,
-    max_points=ICP_MAX_POINTS,
-    normalize_terms=False,
-    update_tol=ICP_UPDATE_TOL,
-):
+def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0,
+                       max_points=ICP_MAX_POINTS):
     """Point-to-plane ICP with an added centroid-alignment term.
 
     Minimises  w1 * sum_L (n^T (p_map - v(p, T)))^2 + w2 * sum_D ||u_map - v(u, T)||^2
     starting from init; per iteration the nearest surface point is assigned to
-    every frame point, gated by an annealed distance bound (d_max_start to
-    d_max_end, linear over max_iterations) and by a 45-degree compatibility
-    test between the frame-point normal (PCA over 16 neighbours) and the map
-    normal. Both sums are raw as written; normalize_terms=True divides each
-    term by its pair count instead.
+    every frame point, gated by an annealed distance bound (ICP_D_MAX_START to
+    ICP_D_MAX_END, linear over ICP_ITERATIONS) and by an ICP_NORMAL_ANGLE_DEG
+    compatibility test between the frame-point normal (PCA over
+    ICP_PCA_NEIGHBORS neighbours) and the map normal. Both sums are raw as
+    written. An update shorter than ICP_UPDATE_TOL counts as converged. Frames
+    with more than max_points depth points are subsampled evenly.
 
     Raises NoCorrespondences when w1 > 0 and every depth point is rejected at
     some iteration. The diverged flag reports final cost > initial cost.
@@ -456,7 +445,7 @@ def depth_centroid_icp(
         # patch to be planar relative to the cloud's own noise floor
         planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
         planar = np.flatnonzero(variation <= planar_gate)
-    cos_gate = np.cos(np.deg2rad(normal_angle_deg))
+    cos_gate = np.cos(np.deg2rad(ICP_NORMAL_ANGLE_DEG))
 
     cent_f = np.array([p.frame_point for p in inlier_pairs]) if inlier_pairs else np.zeros((0, 3))
     cent_m = np.array([p.map_mean for p in inlier_pairs]) if inlier_pairs else np.zeros((0, 3))
@@ -468,10 +457,11 @@ def depth_centroid_icp(
     converged = False
     it = 0
     at_final_gate = False
-    for it in range(1, max_iterations + 1):
-        frac = (it - 1) / max(max_iterations - 1, 1)
-        d_max = d_max_end if at_final_gate else d_max_start + (d_max_end - d_max_start) * frac
-        at_final_gate = at_final_gate or d_max == d_max_end
+    for it in range(1, ICP_ITERATIONS + 1):
+        frac = (it - 1) / (ICP_ITERATIONS - 1)
+        d_max = ICP_D_MAX_END if at_final_gate else (
+            ICP_D_MAX_START + (ICP_D_MAX_END - ICP_D_MAX_START) * frac)
+        at_final_gate = at_final_gate or d_max == ICP_D_MAX_END
         y_all = pts @ rot.T + t
         if use_planes:
             _, nn = surface.nearest(y_all[planar], upper_bound=d_max)
@@ -492,14 +482,12 @@ def depth_centroid_icp(
             qk = yk
             nk = yk
         cy = cent_f @ rot.T + t if len(cent_f) else np.zeros((0, 3))
-        w1_eff = w1 / len(yk) if (normalize_terms and len(yk)) else w1
-        w2_eff = w2 / len(cy) if (normalize_terms and len(cy)) else w2
-        h, b, cost = _icp_system(yk, qk, nk, cy, cent_m, w1_eff, w2_eff)
+        h, b, cost = _icp_system(yk, qk, nk, cy, cent_m, w1, w2)
         if initial_cost is None:
             initial_cost = cost
         delta = np.linalg.lstsq(h, b, rcond=None)[0]
         rot, t = _apply_delta(delta, rot, t)
-        if np.linalg.norm(delta) < update_tol:
+        if np.linalg.norm(delta) < ICP_UPDATE_TOL:
             # converging mid-schedule only means this gate's pair set is
             # stable; jump the anneal to its final gate and reconverge there
             if at_final_gate:
@@ -508,7 +496,7 @@ def depth_centroid_icp(
             at_final_gate = True
     # cost after the final update, on the final correspondence set
     yk_fin = (pts @ rot.T + t)[acc_idx] if use_planes else yk
-    final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m, w1_eff, w2_eff)[2]
+    final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m, w1, w2)[2]
     return RegistrationResult(
         pose=RigidTransform(rot, t),
         inliers=tuple(range(len(inlier_pairs))),

@@ -145,21 +145,13 @@ def in_frustum(p_cam, sensor=DEFAULT_SENSOR):
     return abs(p[0] / p[2]) <= t and abs(p[1] / p[2]) <= t * sensor.height / sensor.width
 
 
-def generate_scene(
-    object_count=5,
-    label_mix=None,
-    extent_ranges=None,
-    seed=0,
-    plane_height=0.0,
-    plane_extent=1.0,
-    clutter_count=0,
-    margin_factor=1.0,
-):
+def generate_scene(object_count=5, label_mix=None, seed=0, plane_height=0.0, plane_extent=1.0,
+                   clutter_count=0):
     """Rejection-sample a desktop scene of non-intersecting categorised primitives.
 
     label_mix: sequence of category names to draw from (with repetition
-    allowed), default all six. extent_ranges overrides catalogue entries per
-    label with ((lo,hi),(lo,hi),(lo,hi)). Deterministic given seed. Raises
+    allowed), default all six. Two primitives are placed at least the sum of
+    their largest half-extents apart. Deterministic given seed. Raises
     PlacementFailure after 10000 rejected placements.
     """
     rng = _philox(seed, 0x5CE)
@@ -182,7 +174,7 @@ def generate_scene(
 
     def collides(centroid, ext):
         for other in placed:
-            min_sep = margin_factor * (ext.max() + other.extents.max())
+            min_sep = ext.max() + other.extents.max()
             if np.linalg.norm(centroid - other.pose.translation) < min_sep:
                 return True
         return False
@@ -196,8 +188,6 @@ def generate_scene(
             entry = _CATALOG[label]
             shape = entry[0]
             ranges = entry[1:]
-            if extent_ranges and label in extent_ranges:
-                ranges = extent_ranges[label]
         while True:
             centroid, rot, ext = sample_one(label, ranges, shape)
             if not collides(centroid, ext):
@@ -356,18 +346,23 @@ def _raycast(scene, camera_pose, sensor):
     return t_best, n_best, dirs_cam
 
 
+def _render(scene, camera_pose, sensor, sigma_depth, rng):
+    """Camera-frame depth points and world normals of the rays that hit."""
+    t, normals, dirs_cam = _raycast(scene, camera_pose, sensor)
+    noise = rng.normal(0.0, sigma_depth, len(t)) if sigma_depth > 0.0 else np.zeros(len(t))
+    hit = np.isfinite(t)
+    return dirs_cam[hit] * (t[hit] + noise[hit])[:, None], normals[hit]
+
+
 def render_depth_points(scene, camera_pose, sensor=DEFAULT_SENSOR, sigma_depth=0.0, seed=0, rng=None):
     """Depth point cloud in the camera frame: nearest hit per ray, perturbed
     along the ray by N(0, sigma_depth^2); misses omitted.
 
     Deterministic given (seed, camera_pose) when rng is not supplied.
     """
-    t, _, dirs_cam = _raycast(scene, camera_pose, sensor)
     if rng is None:
         rng = _philox(seed, _pose_digest(camera_pose))
-    noise = rng.normal(0.0, sigma_depth, len(t)) if sigma_depth > 0.0 else np.zeros(len(t))
-    hit = np.isfinite(t)
-    return dirs_cam[hit] * (t[hit] + noise[hit])[:, None]
+    return _render(scene, camera_pose, sensor, sigma_depth, rng)[0]
 
 
 def build_surface_model(scene, keyframe_poses, sensor=DEFAULT_SENSOR, sigma_depth=0.0, seed=0, voxel=0.01):
@@ -381,13 +376,10 @@ def build_surface_model(scene, keyframe_poses, sensor=DEFAULT_SENSOR, sigma_dept
     all_pts = []
     all_nrm = []
     for pose in keyframe_poses:
-        t, normals, dirs_cam = _raycast(scene, pose, sensor)
-        rng = _philox(seed, _pose_digest(pose))
-        noise = rng.normal(0.0, sigma_depth, len(t)) if sigma_depth > 0.0 else np.zeros(len(t))
-        hit = np.isfinite(t)
-        pts_cam = dirs_cam[hit] * (t[hit] + noise[hit])[:, None]
+        pts_cam, normals = _render(scene, pose, sensor, sigma_depth,
+                                   _philox(seed, _pose_digest(pose)))
         all_pts.append(pose.apply(pts_cam))
-        all_nrm.append(normals[hit])
+        all_nrm.append(normals)
     pts = np.vstack(all_pts)
     nrm = np.vstack(all_nrm)
     if len(pts) == 0:

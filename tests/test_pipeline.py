@@ -198,6 +198,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"rs_segments\[0\].kind"):
             resolve_config({"rs_segments": [{"kind": "diagonal"}]})
 
+    @pytest.mark.parametrize("key, value", [
+        ("decay", 1.0), ("w1", 1.0), ("w2", 1.0), ("inlier_threshold", 0.1),
+        ("ransac_max_iters", 500), ("normalize_icp_terms", False),
+    ])
+    def test_solver_constants_are_not_config(self, key, value):
+        with pytest.raises(ConfigError, match=rf"reloc\.{key}: unknown field"):
+            resolve_config({"reloc": {key: value}})
+
 
 def small_benchmark_config(**overrides):
     cfg = {
