@@ -126,7 +126,10 @@ def greedy_select(candidates, eigvec):
 
     Accept the best-scoring available candidate, drop everything conflicting
     with it, stop when the best remaining score is <= 1e-6 or no candidates
-    remain. Exact ties resolve to the lowest candidate index.
+    remain. Scores that are equal as floats resolve to the lowest candidate
+    index. Scores that tie only in exact arithmetic (symmetric candidates on
+    noise-free inputs, say) can differ in their last bits, in a way that
+    depends on the eigen-solver, so their order is not fixed.
     """
     if len(candidates) != len(eigvec):
         raise ValueError("candidates and eigenvector lengths differ")

@@ -318,6 +318,7 @@ def resolve_config(user=None):
     _check(cfg["sensor"]["width"] >= 2 and cfg["sensor"]["height"] >= 2, "sensor", "grid too small")
     _check(0 < cfg["fusion"]["tau"] < 1, "fusion.tau", "must be in (0, 1)")
     _check(cfg["threads"] >= 1, "threads", "must be >= 1")
+    _check(cfg["reloc"]["icp_max_points"] >= 1, "reloc.icp_max_points", "must be >= 1")
     for i, seg in enumerate(cfg["rs_segments"]):
         _check(seg["kind"] in ("h", "v"), f"rs_segments[{i}].kind", "must be 'h' or 'v'")
         _check(seg["frame_count"] >= 1, f"rs_segments[{i}].frame_count", "must be >= 1")

@@ -206,6 +206,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"reloc\.{key}: unknown field"):
             resolve_config({"reloc": {key: value}})
 
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_icp_max_points_must_be_positive(self, value):
+        with pytest.raises(ConfigError, match=r"reloc\.icp_max_points: must be >= 1"):
+            resolve_config({"reloc": {"icp_max_points": value}})
+
 
 def small_benchmark_config(**overrides):
     cfg = {
