@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DetectionFileError
 from .geometry import OrientedBox, RigidTransform, rotation_from_axis_angle
-from .scene import CATEGORIES, DEFAULT_SENSOR, in_frustum, render_depth_points
+from .scene import CATEGORIES, DEFAULT_SENSOR, _philox, in_frustum, render_depth_points
 from .validation import as_points, check_nonnegative, check_probability
 
 # displacement of the flipped-mode centroid, along the object's own x axis;
@@ -84,12 +84,6 @@ class NoiseParams:
         return NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, seed)
 
 
-def _frame_rng(seed, frame_id):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed & (2**64 - 1), frame_id & (2**64 - 1)], dtype=np.uint64))
-    )
-
-
 def _random_unit(rng):
     v = rng.normal(size=3)
     n = np.linalg.norm(v)
@@ -112,7 +106,7 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
     spurious detections are appended, then depth points are rendered with
     sigma_depth noise. Boxes are reported in the camera frame.
     """
-    rng = _frame_rng(params.seed, frame_id)
+    rng = _philox(params.seed, frame_id)
     world_from_cam = camera_pose
     cam_from_world = camera_pose.inverse()
     detections = []

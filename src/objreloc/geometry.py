@@ -81,7 +81,7 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", check_rotation(self.rotation, "rotation", tol=1e-8))
+        object.__setattr__(self, "rotation", check_rotation(self.rotation, "rotation"))
         object.__setattr__(self, "translation", as_vector3(self.translation, "translation"))
 
     @staticmethod
@@ -99,19 +99,6 @@ class RigidTransform:
             return self.rotation @ p + self.translation
         return p @ self.rotation.T + self.translation
 
-    def matrix(self):
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    @staticmethod
-    def from_matrix(m):
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        return RigidTransform(m[:3, :3], m[:3, 3])
-
 
 def compose(a, b):
     """Composition a∘b: apply b first, then a.
@@ -127,7 +114,7 @@ def compose(a, b):
 
 def transform_point(t, p):
     """rotation @ p + translation for a single point."""
-    return t.rotation @ as_vector3(p, "p") + t.translation
+    return t.apply(as_vector3(p, "p"))
 
 
 def rotation_angle_between(a, b):
@@ -148,15 +135,12 @@ def rotation_mean(rotations):
     if not rs:
         raise ValueError("rotation_mean: empty input")
     m = np.mean(np.stack([as_matrix3(r, "rotation") for r in rs]), axis=0)
-    u, s, vt = np.linalg.svd(m)
+    s = np.linalg.svd(m, compute_uv=False)
     if s[1] < 1e-9:
         raise DegenerateRotations(
             f"arithmetic mean of rotations is rank-deficient (singular values {s})"
         )
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    return nearest_rotation(m)
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,7 @@ class OrientedBox:
 
     def __post_init__(self):
         object.__setattr__(self, "centroid", as_vector3(self.centroid, "centroid"))
-        object.__setattr__(self, "orientation", check_rotation(self.orientation, "orientation", tol=1e-8))
+        object.__setattr__(self, "orientation", check_rotation(self.orientation, "orientation"))
         e = as_vector3(self.extents, "extents")
         if np.any(e <= 0.0):
             raise ValueError(f"extents: must be positive, got {e}")
@@ -190,14 +174,6 @@ class OrientedBox:
     @property
     def volume(self):
         return float(8.0 * np.prod(self.extents))
-
-    def corners(self):
-        """The 8 box corners, (8, 3)."""
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=np.float64,
-        )
-        return self.centroid + (signs * self.extents) @ self.orientation.T
 
     def aabb(self):
         """Axis-aligned bounds (lo, hi) of the oriented box."""

@@ -52,11 +52,11 @@ class FusionParams:
 
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+            raise ValueError(f"tau: must be in (0, 1), got {self.tau}")
         if self.chi2_gate <= 0.0:
-            raise ValueError("chi2_gate must be positive")
+            raise ValueError(f"chi2_gate: must be positive, got {self.chi2_gate}")
         if not 0.0 <= self.min_update_fraction <= 1.0:
-            raise ValueError("min_update_fraction must be in [0, 1]")
+            raise ValueError(f"min_update_fraction: must be in [0, 1], got {self.min_update_fraction}")
 
 
 class Configuration:

@@ -29,7 +29,8 @@ from .geometry import rotation_angle_between
 from .mapping import FusionParams, ObjectMap, finalize_map, integrate_keyframe
 from .matching import build_adjacency, greedy_select, principal_eigenvector
 from .registration import ICP_MAX_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
-from .scene import SensorParams, TrajectorySpec, build_surface_model, generate_scene, generate_trajectory
+from .scene import (SURFACE_VOXEL, SensorParams, TrajectorySpec, build_surface_model,
+                    generate_scene, generate_trajectory)
 
 DEFAULT_THRESHOLDS = ((0.05, 5.0), (0.10, 10.0), (0.15, 15.0))
 
@@ -41,6 +42,10 @@ class RelocParams:
     ransac_seed: int = 0
     use_icp: bool = True
     icp_max_points: int = ICP_MAX_POINTS
+
+    def __post_init__(self):
+        if self.icp_max_points < 1:
+            raise ValueError("icp_max_points: must be >= 1")
 
 
 @dataclass
@@ -87,7 +92,7 @@ class BenchmarkReport:
 
 
 def build_map(frames, fusion=None, sensor=None, scene=None, surface_sigma_depth=0.0,
-              surface_seed=0, voxel=0.01):
+              surface_seed=0, voxel=SURFACE_VOXEL):
     """Fuse posed key frames into a finalized object map (+ surface model).
 
     Every frame must carry camera_pose_gt; in simulation that pose stands in
@@ -234,6 +239,10 @@ def _defaults(params_cls, seed_field=None):
 
 
 def _default_config():
+    # mcs and scene stay literal: the default map-construction orbit is 1.1 m
+    # high and 200 frames long where TrajectorySpec defaults to 1.0 m and 40
+    # frames, and keyframe_every has no TrajectorySpec field; generate_scene
+    # takes keywords, not a params class.
     return {
         "seed": 0,
         "scene": {
@@ -244,7 +253,7 @@ def _default_config():
             "plane_extent": 1.0,
         },
         "noise": _defaults(NoiseParams, "seed"),
-        "sensor": {"fov_deg": 90.0, "width": 160, "height": 120, "max_range": 5.0},
+        "sensor": _defaults(SensorParams),
         "mcs": {
             "kind": "orbit_horizontal",
             "radius": 1.4,
@@ -264,8 +273,8 @@ def _default_config():
         ],
         "fusion": _defaults(FusionParams),
         "reloc": _defaults(RelocParams, "ransac_seed"),
-        "surface": {"voxel": 0.01, "sigma_depth": 0.0},
-        "thresholds": [[0.05, 5.0], [0.10, 10.0], [0.15, 15.0]],
+        "surface": {"voxel": SURFACE_VOXEL, "sigma_depth": 0.0},
+        "thresholds": [list(t) for t in DEFAULT_THRESHOLDS],
         "threads": 1,
     }
 
@@ -300,8 +309,9 @@ def _check(cond, path, msg):
 def resolve_config(user=None):
     """Merge a user config over the defaults and validate it.
 
-    rs_segments replaces the default list wholesale when given. All resolved
-    values are echoed into the benchmark report.
+    rs_segments replaces the default list wholesale when given. The noise,
+    fusion and reloc sections are checked by their params classes. All
+    resolved values are echoed into the benchmark report.
     """
     user = dict(user or {})
     segments = user.pop("rs_segments", None)
@@ -316,17 +326,16 @@ def resolve_config(user=None):
     _check(cfg["mcs"]["frame_count"] >= 1, "mcs.frame_count", "must be >= 1")
     _check(cfg["mcs"]["keyframe_every"] >= 1, "mcs.keyframe_every", "must be >= 1")
     _check(cfg["sensor"]["width"] >= 2 and cfg["sensor"]["height"] >= 2, "sensor", "grid too small")
-    _check(0 < cfg["fusion"]["tau"] < 1, "fusion.tau", "must be in (0, 1)")
     _check(cfg["threads"] >= 1, "threads", "must be >= 1")
-    _check(cfg["reloc"]["icp_max_points"] >= 1, "reloc.icp_max_points", "must be >= 1")
     for i, seg in enumerate(cfg["rs_segments"]):
         _check(seg["kind"] in ("h", "v"), f"rs_segments[{i}].kind", "must be 'h' or 'v'")
         _check(seg["frame_count"] >= 1, f"rs_segments[{i}].frame_count", "must be >= 1")
-    for key, val in cfg["noise"].items():
-        if key.startswith("p_"):
-            _check(0.0 <= val <= 1.0, f"noise.{key}", "probability outside [0, 1]")
-        else:
-            _check(val >= 0.0, f"noise.{key}", "must be >= 0")
+    for section, params_cls in (("noise", NoiseParams), ("fusion", FusionParams),
+                                ("reloc", RelocParams)):
+        try:
+            params_cls(**cfg[section])
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from exc
     return cfg
 
 
@@ -340,7 +349,6 @@ def run_benchmark(config=None, ablate_icp=False):
     """
     cfg = resolve_config(config)
     if ablate_icp:
-        cfg = json.loads(json.dumps(cfg))
         cfg["reloc"]["use_icp"] = False
     seed = int(cfg["seed"])
     sensor = SensorParams(**cfg["sensor"])
@@ -415,7 +423,6 @@ def run_benchmark(config=None, ablate_icp=False):
         results = [worker(f) for f in rs_frames]
 
     echo = json.loads(json.dumps(cfg))
-    echo["reloc"]["use_icp"] = reloc_params.use_icp
     thresholds = [tuple(t) for t in cfg["thresholds"]]
     report = evaluate(results, gt_poses, thresholds, config_echo=echo)
     stage_means = {

@@ -144,24 +144,6 @@ def _apply_delta(delta, rot, t):
     return r_new, dr @ t + delta[3:]
 
 
-def ao_cost_and_gradient(pairs, pose):
-    """Cost of Mahalanobis-weighted AO at pose and its gradient in the local chart.
-
-    The chart is the left-multiplicative 6-vector (dtheta, dt); the gradient is
-    checked against central finite differences by the test oracles.
-    """
-    f, m, w = _stack_pairs(pairs)
-    y = f @ pose.rotation.T + pose.translation
-    r = m - y
-    cost = float(np.einsum("ni,nij,nj->", r, w, r))
-    wr = np.einsum("nij,nj->ni", w, r)
-    # J = [ [y]x  -I ] and ([y]x)^T = -[y]x: grad = 2 sum J^T W r
-    grad = np.empty(6)
-    grad[:3] = -2.0 * np.cross(y, wr).sum(axis=0)
-    grad[3:] = -2.0 * wr.sum(axis=0)
-    return cost, grad
-
-
 def _skew(y):
     """Batched cross-product matrices: _skew(y)[n] @ v == np.cross(y[n], v)."""
     yx = np.zeros((len(y), 3, 3))
@@ -174,9 +156,34 @@ def _skew(y):
     return yx
 
 
-def _weighted_cost(f, m, w, rot, t):
-    r = m - (f @ rot.T + t)
-    return float(np.einsum("ni,nij,nj->", r, w, r))
+def _ao_system(f, m, w, rot, t):
+    """Gauss-Newton system (H, g) and cost of the Mahalanobis-weighted AO at
+    (rot, t), for residuals r_i = m_i - y_i with y_i = rot f_i + t.
+
+    cost = sum r_i^T W_i r_i, H = sum J_i^T W_i J_i and g = sum J_i^T W_i r_i
+    with J_i = [ [y_i]x  -I ], so the cost's gradient in the local chart is 2 g.
+    """
+    y = f @ rot.T + t
+    r = m - y
+    jac = np.empty((len(f), 3, 6))
+    jac[:, :, :3] = _skew(y)
+    jac[:, :, 3:] = -np.eye(3)
+    jtw = np.einsum("nki,nkl->nil", jac, w)
+    h = np.einsum("nik,nkl->il", jtw, jac)
+    g = np.einsum("nik,nk->i", jtw, r)
+    return h, g, float(np.einsum("ni,nij,nj->", r, w, r))
+
+
+def ao_cost_and_gradient(pairs, pose):
+    """Cost of Mahalanobis-weighted AO at pose and its gradient in the local chart.
+
+    The chart is the left-multiplicative 6-vector (dtheta, dt). Both come from
+    _ao_system, the system probabilistic_ao solves, so the finite-difference
+    check of the test oracles covers the solver's own gradient.
+    """
+    f, m, w = _stack_pairs(pairs)
+    _, g, cost = _ao_system(f, m, w, pose.rotation, pose.translation)
+    return cost, 2.0 * g
 
 
 def probabilistic_ao(pairs, init):
@@ -193,21 +200,11 @@ def probabilistic_ao(pairs, init):
     _check_not_collinear(f)
     rot = np.array(init.rotation)
     t = np.array(init.translation)
-    cost = _weighted_cost(f, m, w, rot, t)
+    h, g, cost = _ao_system(f, m, w, rot, t)
     converged = False
     stalled = 0
     it = 0
     for it in range(1, GN_MAX_ITERATIONS + 1):
-        y = f @ rot.T + t
-        r = m - y
-        wr = np.einsum("nij,nj->ni", w, r)
-        # J_i = [ [y_i]x  -I ] per residual r_i = m_i - y_i
-        jac = np.empty((len(pairs), 3, 6))
-        jac[:, :, :3] = _skew(y)
-        jac[:, :, 3:] = -np.eye(3)
-        jtw = np.einsum("nki,nkl->nil", jac, w)
-        h = np.einsum("nik,nkl->il", jtw, jac)
-        g = np.einsum("nik,nk->i", jtw, r)
         try:
             delta = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -219,9 +216,10 @@ def probabilistic_ao(pairs, init):
         accepted = False
         for _ in range(GN_MAX_HALVINGS + 1):
             rot_new, t_new = _apply_delta(step * delta, rot, t)
-            cost_new = _weighted_cost(f, m, w, rot_new, t_new)
+            # an accepted trial's system is the next iteration's linearisation
+            h_new, g_new, cost_new = _ao_system(f, m, w, rot_new, t_new)
             if cost_new <= cost:
-                rot, t, cost = rot_new, t_new, cost_new
+                rot, t, h, g, cost = rot_new, t_new, h_new, g_new, cost_new
                 accepted = True
                 break
             step *= 0.5
@@ -393,8 +391,7 @@ def icp_assign(frame_points, surface, pose, d_max=ICP_D_MAX_END):
     Returns (kept frame points in camera frame, map points, map normals).
     """
     pts = as_points(frame_points, "frame_points")
-    y = pts @ pose.rotation.T + pose.translation
-    _, idx = surface.nearest(y, upper_bound=d_max)
+    _, idx = surface.nearest(pose.apply(pts), upper_bound=d_max)
     keep = idx >= 0
     return pts[keep], surface.points[idx[keep]], surface.normals[idx[keep]]
 
@@ -402,13 +399,10 @@ def icp_assign(frame_points, surface, pose, d_max=ICP_D_MAX_END):
 def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose, w1=1.0, w2=1.0):
     """Combined ICP cost and local-chart gradient at pose for a FIXED
     correspondence assignment. Oracle hook for finite-difference checks."""
-    y = np.asarray(frame_pts, dtype=np.float64).reshape(-1, 3) @ pose.rotation.T + pose.translation
+    y = pose.apply(np.asarray(frame_pts, dtype=np.float64).reshape(-1, 3))
     cf = np.array([p.frame_point for p in pairs]).reshape(-1, 3)
     cm = np.array([p.map_mean for p in pairs]).reshape(-1, 3)
-    _, b, cost = _icp_system(
-        y, np.asarray(map_pts), np.asarray(map_normals),
-        cf @ pose.rotation.T + pose.translation, cm, w1, w2,
-    )
+    _, b, cost = _icp_system(y, np.asarray(map_pts), np.asarray(map_normals), pose.apply(cf), cm, w1, w2)
     # b is the Gauss-Newton right-hand side, minus half the cost's gradient
     return cost, -2.0 * b
 

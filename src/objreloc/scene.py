@@ -36,22 +36,25 @@ _CATALOG = {
 
 _CLUTTER_EXTENTS = ((0.04, 0.09), (0.04, 0.09), (0.25, 0.45))
 
+# Grazing-angle cutoff of real depth sensors: rays striking a surface at more
+# than ~84 degrees from its normal (|cos| below this) return no depth. Without
+# it, silhouette edges produce one-row slivers of points that poison ICP with
+# systematic mismatches.
+MIN_COS_INCIDENCE = 0.1
+
+# Voxel edge of the surface model (m): build_surface_model keeps the first
+# point per voxel
+SURFACE_VOXEL = 0.01
+
 
 @dataclass(frozen=True)
 class SensorParams:
-    """Pinhole depth sensor: horizontal FOV, ray-grid resolution, range.
-
-    min_cos_incidence models the grazing-angle cutoff of real depth sensors:
-    rays striking a surface at more than ~84 degrees from its normal return
-    no depth. Without it, silhouette edges produce one-row slivers of points
-    that poison ICP with systematic mismatches.
-    """
+    """Pinhole depth sensor: horizontal FOV, ray-grid resolution, range."""
 
     fov_deg: float = 90.0
     width: int = 160
     height: int = 120
     max_range: float = 5.0
-    min_cos_incidence: float = 0.1
 
     @property
     def tan_half_fov(self):
@@ -104,7 +107,9 @@ class TrajectorySpec:
 
 
 def _philox(*key):
-    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    """Counter-based generator keyed by integers, each taken modulo 2^64."""
+    key = np.array([int(k) & (2**64 - 1) for k in key], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _pose_digest(pose):
@@ -327,7 +332,7 @@ def _intersect_ground(scene, origins, dirs):
 def _raycast(scene, camera_pose, sensor):
     """Cast the full pinhole grid; returns (t, normals_world, dirs_cam) with
     t = inf for misses. Normals belong to the nearest hit primitive. Hits at
-    grazing incidence (|n . dir| below the sensor cutoff) return no depth."""
+    grazing incidence (|n . dir| below MIN_COS_INCIDENCE) return no depth."""
     dirs_cam = _ray_dirs(sensor)
     dirs_w = dirs_cam @ camera_pose.rotation.T
     origins = np.tile(camera_pose.translation, (len(dirs_w), 1))
@@ -341,7 +346,7 @@ def _raycast(scene, camera_pose, sensor):
         t_best = np.where(closer, t, t_best)
         n_best = np.where(closer[:, None], n, n_best)
     t_best = np.where(t_best <= sensor.max_range, t_best, np.inf)
-    grazing = np.abs(np.einsum("ni,ni->n", n_best, dirs_w)) < sensor.min_cos_incidence
+    grazing = np.abs(np.einsum("ni,ni->n", n_best, dirs_w)) < MIN_COS_INCIDENCE
     t_best = np.where(grazing, np.inf, t_best)
     return t_best, n_best, dirs_cam
 
@@ -365,7 +370,8 @@ def render_depth_points(scene, camera_pose, sensor=DEFAULT_SENSOR, sigma_depth=0
     return _render(scene, camera_pose, sensor, sigma_depth, rng)[0]
 
 
-def build_surface_model(scene, keyframe_poses, sensor=DEFAULT_SENSOR, sigma_depth=0.0, seed=0, voxel=0.01):
+def build_surface_model(scene, keyframe_poses, sensor=DEFAULT_SENSOR, sigma_depth=0.0, seed=0,
+                        voxel=SURFACE_VOXEL):
     """Accumulate rendered depth over key-frame poses into a SurfaceModel.
 
     Points are transformed to world, voxel-downsampled at `voxel` (first point

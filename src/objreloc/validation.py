@@ -7,7 +7,7 @@ and finiteness, raise ``ValueError`` with the argument name on failure.
 
 import numpy as np
 
-ROTATION_TOL = 1e-9
+ROTATION_TOL = 1e-8
 
 
 def as_vector3(x, name="x"):
@@ -40,27 +40,26 @@ def as_points(x, name="points"):
     return p
 
 
-def check_rotation(r, name="rotation", tol=ROTATION_TOL):
-    """Verify r is a proper rotation: orthonormal within tol, det = +1 within tol."""
+def check_rotation(r, name):
+    """Verify r is a proper rotation: orthonormal and det = +1, within ROTATION_TOL."""
     r = as_matrix3(r, name)
     err = np.abs(r.T @ r - np.eye(3)).max()
-    if err > tol:
+    if err > ROTATION_TOL:
         raise ValueError(f"{name}: not orthonormal (max deviation {err:.3e})")
     det = np.linalg.det(r)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError(f"{name}: determinant {det:.12f} != +1 (improper rotation)")
     return r
 
 
-def check_covariance(c, name="covariance", sym_tol=1e-12, min_eig=0.0):
+def check_covariance(c, name, sym_tol, min_eig):
     """Verify c is symmetric within sym_tol with eigenvalues >= min_eig."""
     c = as_matrix3(c, name)
     if np.abs(c - c.T).max() > sym_tol:
         raise ValueError(f"{name}: not symmetric within {sym_tol}")
-    if min_eig > 0.0:
-        smallest = np.linalg.eigvalsh(c)[0]
-        if smallest < min_eig * (1.0 - 1e-9):
-            raise ValueError(f"{name}: smallest eigenvalue {smallest:.3e} < {min_eig:.3e}")
+    smallest = np.linalg.eigvalsh(c)[0]
+    if smallest < min_eig * (1.0 - 1e-9):
+        raise ValueError(f"{name}: smallest eigenvalue {smallest:.3e} < {min_eig:.3e}")
     return c
 
 
@@ -75,11 +74,4 @@ def check_nonnegative(x, name="x"):
     x = float(x)
     if not np.isfinite(x) or x < 0.0:
         raise ValueError(f"{name}: expected a non-negative finite value, got {x}")
-    return x
-
-
-def check_positive(x, name="x"):
-    x = float(x)
-    if not np.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name}: expected a positive finite value, got {x}")
     return x

@@ -211,6 +211,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"reloc\.icp_max_points: must be >= 1"):
             resolve_config({"reloc": {"icp_max_points": value}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("fusion", "chi2_gate", -1.0),
+        ("fusion", "min_update_fraction", 1.5),
+        ("noise", "sigma_rot", float("inf")),
+    ])
+    def test_params_rules_reach_config(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
+            resolve_config({section: {key: value}})
+
+    def test_reloc_params_reject_zero_icp_points(self):
+        with pytest.raises(ValueError, match="icp_max_points"):
+            RelocParams(icp_max_points=0)
+
 
 def small_benchmark_config(**overrides):
     cfg = {
