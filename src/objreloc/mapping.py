@@ -36,6 +36,7 @@ from .geometry import (
     rotation_mean,
 )
 from .scene import DEFAULT_SENSOR, in_frustum
+from .validation import as_real, check_integer, check_probability
 
 # inverse chi-squared(3) CDF at 1 - 0.001; the configuration gate
 CHI2_GATE_3DOF = 16.26623619623813
@@ -51,12 +52,12 @@ class FusionParams:
     min_updates: int = 2  # objects must be detected in multiple key frames
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
+        if not 0.0 < as_real(self.tau, "tau") < 1.0:
             raise ValueError(f"tau: must be in (0, 1), got {self.tau}")
-        if self.chi2_gate <= 0.0:
+        if not as_real(self.chi2_gate, "chi2_gate") > 0.0:
             raise ValueError(f"chi2_gate: must be positive, got {self.chi2_gate}")
-        if not 0.0 <= self.min_update_fraction <= 1.0:
-            raise ValueError(f"min_update_fraction: must be in [0, 1], got {self.min_update_fraction}")
+        check_probability(self.min_update_fraction, "min_update_fraction")
+        check_integer(self.min_updates, "min_updates", 0)
 
 
 class Configuration:

@@ -9,6 +9,9 @@ import itertools
 
 import numpy as np
 
+from .scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder, _intersect_ground,
+                    _ray_dirs)
+
 
 def mc_box_iou(b1, b2, n_samples=1_000_000, seed=12345):
     """Monte-Carlo IoU estimate: uniform samples over the union's AABB."""
@@ -183,6 +186,32 @@ def ray_box_intersection(origin, direction, center, rotation, extents):
     if hi <= 1e-9:
         return None
     return lo if lo > 1e-9 else hi
+
+
+def raycast_every_ray(scene, camera_pose, sensor):
+    """scene._raycast without its ray culling: every ray meets every primitive.
+
+    Returns (t, normals_world) with t = inf for misses, the nearest hit per
+    ray, the range cut and the grazing-angle cut, as the renderer defines them.
+    It reuses the renderer's per-primitive intersection code, which
+    ray_box_intersection checks on its own; what this oracle checks is the
+    culling.
+    """
+    dirs_w = _ray_dirs(sensor) @ camera_pose.rotation.T
+    origins = np.tile(camera_pose.translation, (len(dirs_w), 1))
+    t_best, n_best = _intersect_ground(scene, origins, dirs_w)
+    for obj in scene.primitives():
+        if obj.shape == "box":
+            t, n = _intersect_box(obj, origins, dirs_w)
+        else:
+            t, n = _intersect_cylinder(obj, origins, dirs_w)
+        closer = t < t_best
+        t_best = np.where(closer, t, t_best)
+        n_best = np.where(closer[:, None], n, n_best)
+    t_best = np.where(t_best <= sensor.max_range, t_best, np.inf)
+    grazing = np.abs(np.einsum("ni,ni->n", n_best, dirs_w)) < MIN_COS_INCIDENCE
+    t_best = np.where(grazing, np.inf, t_best)
+    return t_best, n_best
 
 
 def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):

@@ -31,6 +31,7 @@ from .matching import build_adjacency, greedy_select, principal_eigenvector
 from .registration import ICP_MAX_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
 from .scene import (SURFACE_VOXEL, SensorParams, TrajectorySpec, build_surface_model,
                     generate_scene, generate_trajectory)
+from .validation import check_integer
 
 DEFAULT_THRESHOLDS = ((0.05, 5.0), (0.10, 10.0), (0.15, 15.0))
 
@@ -44,8 +45,7 @@ class RelocParams:
     icp_max_points: int = ICP_MAX_POINTS
 
     def __post_init__(self):
-        if self.icp_max_points < 1:
-            raise ValueError("icp_max_points: must be >= 1")
+        check_integer(self.icp_max_points, "icp_max_points", 1)
 
 
 @dataclass
@@ -309,8 +309,8 @@ def _check(cond, path, msg):
 def resolve_config(user=None):
     """Merge a user config over the defaults and validate it.
 
-    rs_segments replaces the default list wholesale when given. The noise,
-    fusion and reloc sections are checked by their params classes. All
+    rs_segments replaces the default list wholesale when given. The sensor,
+    noise, fusion and reloc sections are checked by their params classes. All
     resolved values are echoed into the benchmark report.
     """
     user = dict(user or {})
@@ -325,13 +325,12 @@ def resolve_config(user=None):
     _check(cfg["scene"]["object_count"] >= 0, "scene.object_count", "must be >= 0")
     _check(cfg["mcs"]["frame_count"] >= 1, "mcs.frame_count", "must be >= 1")
     _check(cfg["mcs"]["keyframe_every"] >= 1, "mcs.keyframe_every", "must be >= 1")
-    _check(cfg["sensor"]["width"] >= 2 and cfg["sensor"]["height"] >= 2, "sensor", "grid too small")
     _check(cfg["threads"] >= 1, "threads", "must be >= 1")
     for i, seg in enumerate(cfg["rs_segments"]):
         _check(seg["kind"] in ("h", "v"), f"rs_segments[{i}].kind", "must be 'h' or 'v'")
         _check(seg["frame_count"] >= 1, f"rs_segments[{i}].frame_count", "must be >= 1")
-    for section, params_cls in (("noise", NoiseParams), ("fusion", FusionParams),
-                                ("reloc", RelocParams)):
+    for section, params_cls in (("sensor", SensorParams), ("noise", NoiseParams),
+                                ("fusion", FusionParams), ("reloc", RelocParams)):
         try:
             params_cls(**cfg[section])
         except ValueError as exc:

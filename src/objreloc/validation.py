@@ -5,6 +5,8 @@ spirit of sklearn's ``check_array``: coerce to float64 ndarrays, verify shape
 and finiteness, raise ``ValueError`` with the argument name on failure.
 """
 
+import numbers
+
 import numpy as np
 
 ROTATION_TOL = 1e-8
@@ -63,15 +65,32 @@ def check_covariance(c, name, sym_tol, min_eig):
     return c
 
 
+def as_real(x, name="x"):
+    """x as a float; ValueError naming the field when x is not a real number
+    (a string or a bool is not one, whatever float() would make of it)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {x!r}")
+    return float(x)
+
+
+def check_integer(x, name, minimum):
+    """x as an int; ValueError naming the field unless x is an integer >= minimum."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {x!r}")
+    if x < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {x}")
+    return int(x)
+
+
 def check_probability(p, name="p"):
-    p = float(p)
+    p = as_real(p, name)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name}: probability {p} outside [0, 1]")
     return p
 
 
 def check_nonnegative(x, name="x"):
-    x = float(x)
+    x = as_real(x, name)
     if not np.isfinite(x) or x < 0.0:
         raise ValueError(f"{name}: expected a non-negative finite value, got {x}")
     return x

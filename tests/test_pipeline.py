@@ -220,6 +220,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: "):
             resolve_config({section: {key: value}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("fov_deg", 0.0), ("fov_deg", 180.0), ("fov_deg", -30.0),
+        ("width", 0), ("height", 0), ("width", 2.5),
+        ("max_range", 0.0), ("max_range", -1.0),
+    ])
+    def test_sensor_rules_reach_config(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^sensor\.{key}: "):
+            resolve_config({"sensor": {key: value}})
+
+    @pytest.mark.parametrize("section, key, value, why", [
+        ("fusion", "tau", "x", "expected a number"),
+        ("noise", "sigma_rot", "abc", "expected a number"),
+        ("noise", "p_flip", "0.1", "expected a number"),
+        ("sensor", "fov_deg", None, "expected a number"),
+        ("reloc", "icp_max_points", 2.5, "expected an integer"),
+        ("fusion", "min_updates", "2", "expected an integer"),
+    ])
+    def test_non_numeric_values_name_their_key(self, section, key, value, why):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: {why}"):
+            resolve_config({section: {key: value}})
+
     def test_reloc_params_reject_zero_icp_points(self):
         with pytest.raises(ValueError, match="icp_max_points"):
             RelocParams(icp_max_points=0)

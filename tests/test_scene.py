@@ -1,16 +1,22 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from objreloc.errors import PlacementFailure
 from objreloc.geometry import RigidTransform, rotation_angle_between, rotation_from_axis_angle
-from objreloc.oracles import ray_box_intersection
+from objreloc.oracles import ray_box_intersection, raycast_every_ray
+from objreloc.pipeline import resolve_config
 from objreloc.scene import (
+    CULL_SLACK,
     DEFAULT_SENSOR,
     Scene,
     SceneObject,
     SensorParams,
     TrajectorySpec,
     _ray_dirs,
+    _raycast,
     build_surface_model,
     generate_scene,
     generate_trajectory,
@@ -182,6 +188,127 @@ class TestRenderDepth:
         world = pose.apply(pts)
         for p in world:
             assert surface_distance(scene, p) <= 1e-9
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+def benchmark_desk(workload):
+    """Desk, sensor, key-frame poses and lost-frame poses of a benchmark workload,
+    as run_benchmark makes them from its config."""
+    cfg = resolve_config(json.loads((WORKLOADS / f"{workload}.json").read_text()))
+    sc = cfg["scene"]
+    desk = generate_scene(object_count=sc["object_count"], label_mix=sc["label_mix"],
+                          seed=cfg["seed"], plane_height=sc["plane_height"],
+                          plane_extent=sc["plane_extent"], clutter_count=sc["clutter_count"])
+    mcs = cfg["mcs"]
+    keyframes = generate_trajectory(TrajectorySpec(
+        kind=mcs["kind"], radius=mcs["radius"], height=mcs["height"],
+        angle_range=mcs["angle_range"], frame_count=mcs["frame_count"],
+        lookat=tuple(mcs["lookat"]), start_deg=-mcs["angle_range"] / 2.0,
+    ))[:: mcs["keyframe_every"]]
+    lost = []
+    for seg in cfg["rs_segments"]:
+        lost += generate_trajectory(TrajectorySpec(
+            kind="orbit_horizontal" if seg["kind"] == "h" else "arc_vertical",
+            radius=mcs["radius"] if seg["radius"] is None else seg["radius"],
+            height=mcs["height"] if seg["height"] is None else seg["height"],
+            angle_range=seg["sweep_deg"], frame_count=seg["frame_count"],
+            lookat=tuple(mcs["lookat"]),
+            start_deg=seg["view_change_deg"] - seg["sweep_deg"] / 2.0,
+        ))
+    return desk, SensorParams(**cfg["sensor"]), keyframes, lost
+
+
+def assert_matches_every_ray_cast(scene, pose, sensor):
+    t, normals, _ = _raycast(scene, pose, sensor)
+    t_ref, normals_ref = raycast_every_ray(scene, pose, sensor)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(normals, normals_ref)
+    return t_ref
+
+
+def rays_in_ball(obj, pose, sensor):
+    """Rays of the grid that pass within the culling radius of obj's centre."""
+    dirs_w = _ray_dirs(sensor) @ pose.rotation.T
+    to_centre = obj.pose.translation - pose.translation
+    along = dirs_w @ to_centre
+    radius = np.linalg.norm(obj.extents) + CULL_SLACK
+    return np.flatnonzero((to_centre @ to_centre - along**2 <= radius**2) & (along > -radius))
+
+
+class TestRayCulling:
+    """_raycast culls rays by bounding ball; it must equal the all-rays cast bit for bit."""
+
+    @pytest.mark.parametrize("workload", ["reloc-views", "map-crowded"])
+    def test_benchmark_desks(self, workload):
+        desk, sensor, keyframes, lost = benchmark_desk(workload)
+        for pose in keyframes[::2] + lost[::5]:
+            assert_matches_every_ray_cast(desk, pose, sensor)
+
+    def test_random_desks_with_clutter(self):
+        sensor = SensorParams(width=64, height=48)
+        for seed in range(8):
+            desk = generate_scene(object_count=5, seed=seed, clutter_count=1 + seed % 3,
+                                  plane_extent=1.2)
+            assert any(o.shape == "box" for o in desk.primitives())
+            spec = TrajectorySpec(frame_count=4, angle_range=360.0, start_deg=10.0 * seed,
+                                  radius=0.7 + 0.15 * seed, height=0.3 + 0.1 * seed)
+            for pose in generate_trajectory(spec):
+                assert_matches_every_ray_cast(desk, pose, sensor)
+
+    def test_camera_inside_bounding_ball(self):
+        rod = SceneObject("laptop", RigidTransform(np.eye(3), [0.0, 0.0, 0.0]),
+                          np.array([0.5, 0.05, 0.05]), "box")
+        scene = Scene(objects=(rod,), ground_height=-10.0, ground_extent=0.01)
+        eye = np.array([0.2, 0.1, 0.0])
+        assert np.linalg.norm(eye) < np.linalg.norm(rod.extents)
+        sensor = SensorParams(width=40, height=30)
+        # looking away from the centre: the rays that hit the rod's +y face
+        # pass the centre behind the camera
+        for target in ([1.0, 0.0, 0.0], [0.2, -1.0, 0.0], [-1.0, 0.0, 0.0]):
+            pose = look_at(eye, target)
+            t = assert_matches_every_ray_cast(scene, pose, sensor)
+            assert np.isfinite(t).any()
+
+    def test_primitive_behind_camera(self):
+        box = SceneObject("camera", RigidTransform(np.eye(3), [0.0, -1.0, 0.5]),
+                          np.array([0.1, 0.1, 0.1]), "box")
+        can = SceneObject("can", RigidTransform(np.eye(3), [0.0, 1.0, 0.5]),
+                          np.array([0.05, 0.05, 0.08]), "cylinder")
+        scene = Scene(objects=(box, can), ground_height=0.0, ground_extent=2.0)
+        pose = look_at([0.0, 0.0, 0.5], [0.0, 1.0, 0.5])
+        sensor = SensorParams(width=40, height=30)
+        assert len(rays_in_ball(box, pose, sensor)) == 0
+        assert len(rays_in_ball(can, pose, sensor)) > 0
+        assert_matches_every_ray_cast(scene, pose, sensor)
+
+    @pytest.mark.parametrize("shape", ["box", "cylinder"])
+    def test_primitive_only_one_ray_can_hit(self, shape):
+        # a one-row product goes to BLAS gemv, which can round differently
+        # from the gemm over the whole grid
+        sensor = SensorParams(width=4, height=3)
+        pose = look_at([0.0, 0.0, 0.0], [0.0, 2.0, 0.3])
+        dirs_w = _ray_dirs(sensor) @ pose.rotation.T
+        extents = np.array([0.05, 0.03 if shape == "box" else 0.05, 0.04])
+        for ray in range(len(dirs_w)):
+            rot = rotation_from_axis_angle([0.3, 0.5, 1.0], 7.0 + 13.0 * ray)
+            obj = SceneObject("mug", RigidTransform(rot, (2.0 + 0.1 * ray) * dirs_w[ray]),
+                              extents, shape)
+            scene = Scene(objects=(obj,), ground_height=-10.0, ground_extent=0.01)
+            assert list(rays_in_ball(obj, pose, sensor)) == [ray]
+            t = assert_matches_every_ray_cast(scene, pose, sensor)
+            assert np.isfinite(t[ray])
+
+
+class TestRayGrid:
+    def test_shared_and_read_only(self):
+        sensor = SensorParams(width=8, height=6)
+        dirs = _ray_dirs(sensor)
+        assert _ray_dirs(SensorParams(width=8, height=6)) is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 1.0
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-15)
 
 
 class TestSurfaceModel:
