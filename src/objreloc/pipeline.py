@@ -59,6 +59,11 @@ class RelocResult:
     inlier_count: int = 0
     timing: dict = field(default_factory=dict)
     debug: dict | None = None
+    # ICP's report, left 0 / False when ICP did not run; icp_diverged means
+    # pose_final fell back to pose_ao
+    icp_iterations: int = 0
+    icp_converged: bool = False
+    icp_diverged: bool = False
 
     def __post_init__(self):
         if self.status == "success" and (
@@ -127,8 +132,9 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
     Chain: spectral matching -> RANSAC + probabilistic absolute orientation
     -> depth-centroid ICP. A frame that cannot be relocalised yields a failed
     result (reason TooFewObjects, NoConsensus, NoCorrespondences, ...), never
-    an exception. The frame's ground-truth pose, if any, is stripped before
-    any processing.
+    an exception. When ICP ends at a higher cost than it started from, its
+    pose is discarded: the result keeps the AO pose and sets icp_diverged.
+    The frame's ground-truth pose, if any, is stripped before any processing.
     """
     params = params or RelocParams()
     frame = frame.strip_gt()
@@ -168,6 +174,7 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
                            correspondences_used=len(selected), timing=timing, debug=debug)
     timing["ao_ms"] = (time.perf_counter() - t0) * 1000.0
     pose_final = ao.pose
+    icp = None
     if params.use_icp:
         if surface is None:
             raise ValueError("use_icp requires a surface model")
@@ -182,11 +189,14 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
                                correspondences_used=len(selected),
                                inlier_count=len(ao.inliers), timing=timing, debug=debug)
         timing["icp_ms"] = (time.perf_counter() - t0) * 1000.0
-        pose_final = icp.pose
+        pose_final = ao.pose if icp.diverged else icp.pose
     return RelocResult(
         frame.frame_id, "success", None, ao.pose, pose_final,
         correspondences_used=len(selected), inlier_count=len(ao.inliers),
         timing=timing, debug=debug,
+        icp_iterations=icp.iterations if icp else 0,
+        icp_converged=icp.converged if icp else False,
+        icp_diverged=icp.diverged if icp else False,
     )
 
 

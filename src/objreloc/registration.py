@@ -33,7 +33,10 @@ GN_MAX_STALLED = 5
 ICP_ITERATIONS = 30
 ICP_D_MAX_START = 0.20
 ICP_D_MAX_END = 0.05
-ICP_UPDATE_TOL = 1e-8
+# a pose step below 0.5 mrad and 0.5 mm stops ICP: 10x below the sensor's
+# 5 mm depth noise and 100x below the 5 cm / 5 deg success test
+ICP_STEP_TOL_RAD = 5e-4
+ICP_STEP_TOL_M = 5e-4
 ICP_NORMAL_ANGLE_DEG = 45.0
 ICP_PCA_NEIGHBORS = 16
 ICP_MAX_POINTS = 20000
@@ -417,8 +420,14 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
     ICP_D_MAX_END, linear over ICP_ITERATIONS) and by an ICP_NORMAL_ANGLE_DEG
     compatibility test between the frame-point normal (PCA over
     ICP_PCA_NEIGHBORS neighbours) and the map normal. Both sums are raw as
-    written. An update shorter than ICP_UPDATE_TOL counts as converged. Frames
-    with more than max_points depth points are subsampled evenly.
+    written. Frames with more than max_points depth points are subsampled
+    evenly.
+
+    The stop test is on the pose step: an update whose rotation part is
+    shorter than ICP_STEP_TOL_RAD and whose translation part is shorter than
+    ICP_STEP_TOL_M. Mid-schedule, such a step jumps the anneal to its final
+    gate; at the final gate it counts as converged. A run that never takes
+    such a step at the final gate stops unconverged after ICP_ITERATIONS.
 
     Raises NoCorrespondences when w1 > 0 and every depth point is rejected at
     some iteration. The diverged flag reports final cost > initial cost.
@@ -481,7 +490,8 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
             initial_cost = cost
         delta = np.linalg.lstsq(h, b, rcond=None)[0]
         rot, t = _apply_delta(delta, rot, t)
-        if np.linalg.norm(delta) < ICP_UPDATE_TOL:
+        if (np.linalg.norm(delta[:3]) < ICP_STEP_TOL_RAD
+                and np.linalg.norm(delta[3:]) < ICP_STEP_TOL_M):
             # converging mid-schedule only means this gate's pair set is
             # stable; jump the anneal to its final gate and reconverge there
             if at_final_gate:

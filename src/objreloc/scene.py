@@ -338,9 +338,11 @@ def _intersect_cylinder(obj, origins, dirs):
 
 
 def _intersect_ground(scene, origins, dirs):
+    # a ray parallel to the ground has t = +-inf, and its hit point multiplies
+    # inf by 0; the isfinite test below discards it
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (scene.ground_height - origins[:, 2]) / dirs[:, 2]
-    p = origins + t[:, None] * dirs
+        p = origins + t[:, None] * dirs
     ok = (
         (t > 1e-9)
         & np.isfinite(t)

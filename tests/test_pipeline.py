@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from objreloc import pipeline
 from objreloc.detections import FrameDetections, NoiseParams, simulate_detections
 from objreloc.errors import ConfigError, MissingGroundTruth
-from objreloc.geometry import RigidTransform
+from objreloc.geometry import RigidTransform, rotation_angle_between
 from objreloc.mapping import FusionParams
 from objreloc.pipeline import (
+    DEFAULT_THRESHOLDS,
     BenchmarkReport,
     RelocParams,
     RelocResult,
@@ -17,6 +21,7 @@ from objreloc.pipeline import (
     resolve_config,
     run_benchmark,
 )
+from objreloc.registration import ICP_ITERATIONS
 from objreloc.scene import SensorParams, TrajectorySpec, generate_scene, generate_trajectory
 
 TINY_SENSOR = SensorParams(width=8, height=6)
@@ -122,6 +127,88 @@ class TestRelocalise:
         n = len(res.debug["candidates"])
         assert np.array(res.debug["adjacency"]).shape == (n, n)
         assert len(res.debug["eigenvector"]) == n
+
+    def test_icp_report_on_success(self, zero_noise_setup):
+        scene, sensor, obj_map, surface = zero_noise_setup
+        pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=150.0))[0]
+        frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 904, sensor)
+        res = relocalise(frame, obj_map, surface)
+        assert res.status == "success"
+        assert 1 <= res.icp_iterations <= ICP_ITERATIONS
+        assert res.icp_converged and not res.icp_diverged
+        ao_only = relocalise(frame, obj_map, surface, RelocParams(use_icp=False))
+        assert ao_only.status == "success"
+        assert (ao_only.icp_iterations, ao_only.icp_converged, ao_only.icp_diverged) == (
+            0, False, False)
+
+    def test_diverged_icp_falls_back_to_ao_pose(self, zero_noise_setup, monkeypatch):
+        scene, sensor, obj_map, surface = zero_noise_setup
+        real_icp = pipeline.depth_centroid_icp
+
+        def diverging_icp(*args, **kwargs):
+            res = real_icp(*args, **kwargs)
+            far = RigidTransform(res.pose.rotation, res.pose.translation + 0.5)
+            return replace(res, pose=far, diverged=True)
+
+        monkeypatch.setattr(pipeline, "depth_centroid_icp", diverging_icp)
+        pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=150.0))[0]
+        frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 905, sensor)
+        res = relocalise(frame, obj_map, surface)
+        assert res.status == "success"
+        assert res.icp_diverged and res.icp_iterations >= 1
+        assert res.pose_final is res.pose_ao
+        assert np.linalg.norm(res.pose_final.translation - pose.translation) < 1e-6
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+class TestIcpStop:
+    """ICP stops on a pose step below the sensor's noise, not on a vanishing one."""
+
+    @pytest.fixture(scope="class")
+    def reloc_views(self):
+        """Map, surface, sensor, noise and lost-frame poses of the reloc-views workload."""
+        cfg = resolve_config(json.loads((WORKLOADS / "reloc-views.json").read_text()))
+        sensor = SensorParams(**cfg["sensor"])
+        noise = NoiseParams(**cfg["noise"], seed=cfg["seed"])
+        desk = generate_scene(object_count=cfg["scene"]["object_count"], seed=cfg["seed"])
+        mcs = cfg["mcs"]
+        orbit = dict(radius=mcs["radius"], height=mcs["height"], lookat=tuple(mcs["lookat"]))
+        kf_poses = generate_trajectory(TrajectorySpec(
+            angle_range=mcs["angle_range"], frame_count=mcs["frame_count"],
+            start_deg=-mcs["angle_range"] / 2.0, **orbit))[:: mcs["keyframe_every"]]
+        frames = make_frames(desk, kf_poses, noise, sensor)
+        obj_map, surface = build_map(frames, FusionParams(**cfg["fusion"]), sensor, scene=desk)
+        lost = {}
+        for si, seg in enumerate(cfg["rs_segments"]):
+            spec = TrajectorySpec(angle_range=seg["sweep_deg"], frame_count=seg["frame_count"],
+                                  start_deg=seg["view_change_deg"] - seg["sweep_deg"] / 2.0,
+                                  **orbit)
+            for k, pose in enumerate(generate_trajectory(spec)):
+                lost[100000 * (si + 1) + k] = pose
+        return desk, sensor, noise, obj_map, surface, RelocParams(**cfg["reloc"]), lost
+
+    # accurate frames whose ICP steps settle at 4e-5 to 4e-4 and never fall to
+    # 1e-8, so an update-norm test ran each of them to the iteration cap
+    @pytest.mark.parametrize("frame_id", [100003, 200016, 200025, 300008, 300015, 300021, 300026])
+    def test_settled_steps_stop_before_the_cap(self, reloc_views, monkeypatch, frame_id):
+        desk, sensor, noise, obj_map, surface, params, lost = reloc_views
+        reports = []
+        real_icp = pipeline.depth_centroid_icp
+
+        def recording_icp(*args, **kwargs):
+            reports.append(real_icp(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pipeline, "depth_centroid_icp", recording_icp)
+        frame = simulate_detections(desk, lost[frame_id], noise, frame_id, sensor)
+        res = relocalise(frame.strip_gt(), obj_map, surface, params)
+        assert res.status == "success" and len(reports) == 1
+        assert reports[0].converged and reports[0].iterations < ICP_ITERATIONS
+        trans_ok, rot_ok = DEFAULT_THRESHOLDS[0]
+        assert np.linalg.norm(res.pose_final.translation - lost[frame_id].translation) < trans_ok
+        assert rotation_angle_between(res.pose_final.rotation, lost[frame_id].rotation) < rot_ok
 
 
 class TestEvaluate:

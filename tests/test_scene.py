@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,19 @@ class TestRenderDepth:
             )
             assert t_oracle is not None
             assert abs(np.linalg.norm(p) - t_oracle) < 1e-9
+
+    def test_level_camera_casts_without_warning(self):
+        # an odd sensor height puts the middle row of a level camera exactly
+        # parallel to the ground
+        scene = Scene(objects=(), ground_height=0.0, ground_extent=2.0)
+        pose = look_at([0.0, 0.0, 0.5], [0.0, 1.0, 0.5])
+        sensor = SensorParams(width=4, height=3)
+        assert np.any((_ray_dirs(sensor) @ pose.rotation.T)[:, 2] == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = render_depth_points(scene, pose, sensor)
+        assert len(pts) > 0
+        np.testing.assert_allclose(pose.apply(pts)[:, 2], 0.0, atol=1e-12)
 
     def test_deterministic_given_seed_and_pose(self):
         scene = generate_scene(object_count=4, seed=5)
