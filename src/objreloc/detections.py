@@ -1,23 +1,16 @@
-"""Per-frame detection records, their file format, and the detector noise model.
+"""Per-frame detection records and the detector noise model.
 
 The stochastic model reproduces the failure modes of a single-frame category
 detector: Gaussian centroid error, orientation jitter, multiplicative scale
 error, flipped box configurations, missed detections, spurious detections and
 label confusion. All randomness comes from a counter-based generator keyed by
 (seed, frame_id), so frames are reproducible independently and in any order.
-
-The detection file is UTF-8 JSON-lines: one frame per line with fields
-frame_id, camera_pose_gt ({r: 9 row-major, t: 3} or null), objects
-([{label, centroid, rotation: [9], extents, confidence}]) and depth_points.
-Loaders ignore unknown trailing fields.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DetectionFileError
 from .geometry import OrientedBox, RigidTransform, rotation_from_axis_angle
 from .scene import CATEGORIES, DEFAULT_SENSOR, _philox, in_frustum, render_depth_points
 from .validation import as_points, check_nonnegative, check_probability
@@ -158,84 +151,3 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
     )
     return FrameDetections(frame_id, detections, depth_points, camera_pose_gt=camera_pose)
 
-
-def _pose_to_json(pose):
-    if pose is None:
-        return None
-    return {"r": list(pose.rotation.reshape(-1)), "t": list(pose.translation)}
-
-
-def _pose_from_json(d):
-    if d is None:
-        return None
-    return RigidTransform(np.array(d["r"], dtype=np.float64).reshape(3, 3),
-                          np.array(d["t"], dtype=np.float64))
-
-
-def frame_to_json(frame):
-    return {
-        "frame_id": frame.frame_id,
-        "camera_pose_gt": _pose_to_json(frame.camera_pose_gt),
-        "objects": [
-            {
-                "label": o.label,
-                "centroid": list(o.box.centroid),
-                "rotation": list(o.box.orientation.reshape(-1)),
-                "extents": list(o.box.extents),
-                "confidence": o.confidence,
-            }
-            for o in frame.objects
-        ],
-        "depth_points": [list(p) for p in frame.depth_points],
-    }
-
-
-def save_detections(frames, path):
-    """Write one JSON record per line; floats keep full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            fh.write(json.dumps(frame_to_json(frame), separators=(",", ":")))
-            fh.write("\n")
-
-
-def frame_from_json(rec, lineno=0):
-    try:
-        objects = []
-        for i, o in enumerate(rec.get("objects", [])):
-            label = o["label"]
-            if label not in CATEGORIES:
-                raise DetectionFileError(
-                    f"line {lineno}: object {i} has invalid label {label!r}"
-                )
-            box = OrientedBox.create(
-                np.array(o["centroid"], dtype=np.float64),
-                np.array(o["rotation"], dtype=np.float64).reshape(3, 3),
-                np.array(o["extents"], dtype=np.float64),
-            )
-            objects.append(DetectedObject(label, box, float(o.get("confidence", 1.0))))
-        return FrameDetections(
-            int(rec["frame_id"]),
-            objects,
-            np.array(rec.get("depth_points", []), dtype=np.float64).reshape(-1, 3),
-            _pose_from_json(rec.get("camera_pose_gt")),
-        )
-    except DetectionFileError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DetectionFileError(f"line {lineno}: {exc}") from exc
-
-
-def load_detections(path):
-    """Inverse of save_detections; unknown trailing fields are ignored."""
-    frames = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DetectionFileError(f"line {lineno}: invalid JSON ({exc})") from exc
-            frames.append(frame_from_json(rec, lineno))
-    return frames

@@ -9,14 +9,6 @@ class ConfigError(ObjRelocError):
     """Invalid configuration value; message carries the offending field path."""
 
 
-class DetectionFileError(ObjRelocError):
-    """Detection file could not be parsed; message names the offending line."""
-
-
-class MapFileError(ObjRelocError):
-    """Object-map file could not be parsed."""
-
-
 class DegenerateRotations(ObjRelocError):
     """Rotation averaging failed: arithmetic mean is rank-deficient."""
 

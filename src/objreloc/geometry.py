@@ -112,11 +112,6 @@ def compose(a, b):
     return RigidTransform(r, a.rotation @ b.translation + a.translation)
 
 
-def transform_point(t, p):
-    """rotation @ p + translation for a single point."""
-    return t.apply(as_vector3(p, "p"))
-
-
 def rotation_angle_between(a, b):
     """Geodesic angle between two rotations, in degrees, clamped to [0, 180]."""
     a = as_matrix3(a, "a")

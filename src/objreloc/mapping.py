@@ -16,18 +16,18 @@ hold: the two were never detected in the same key frame (the detector reports
 each physical object at most once per frame, while genuine neighbours are
 co-detected), and their centroids are closer than the sum of the two boxes'
 half-diagonals. A same-label duplicate brings its configurations; a
-different-label one only its update count. Each object's configurations are
-then ordered by sample count, so configurations[0] is its main mode.
+different-label one only its detecting key frames. Each object's
+configurations are then ordered by sample count, so configurations[0] is its
+main mode.
 """
 
 import copy
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detections import DetectedObject
-from .errors import DegenerateRotations, MapFileError
+from .errors import DegenerateRotations
 from .geometry import (
     GaussianCentroid,
     OrientedBox,
@@ -65,8 +65,7 @@ class Configuration:
 
     Holds the full list of assigned observations (centroids, orientations,
     extents) so that merges can re-pool; the mean box and Gaussian centroid
-    are recomputed after every change. Configurations loaded from a map file
-    are summarised (samples dropped) and can no longer be updated.
+    are recomputed after every change.
 
     A finalized map orders each object's configurations by sample count,
     most first; ties keep founding order.
@@ -84,23 +83,7 @@ class Configuration:
     def from_detection(box):
         return Configuration([box.centroid], [box.orientation], [box.extents])
 
-    @staticmethod
-    def from_summary(box, centroid):
-        cfg = Configuration.__new__(Configuration)
-        cfg.samples = None
-        cfg.orientations = None
-        cfg.extents_list = None
-        cfg.box = box
-        cfg.centroid = centroid
-        return cfg
-
-    @property
-    def updatable(self):
-        return self.samples is not None
-
     def add(self, box):
-        if not self.updatable:
-            raise ValueError("configuration was loaded in summarised form")
         self.samples.append(np.asarray(box.centroid, dtype=np.float64))
         self.orientations.append(np.asarray(box.orientation, dtype=np.float64))
         self.extents_list.append(np.asarray(box.extents, dtype=np.float64))
@@ -125,15 +108,19 @@ class MapObject:
     While the map is built, configurations are in founding order; a finalized
     map orders them by sample count, most first (ties keep founding order), so
     configurations[0] is the object's main mode. detected_keyframes holds the
-    indices of the key frames that detected the object.
+    indices of the key frames that detected the object, and update_count is
+    derived from it.
     """
 
     label: str
     configurations: list
-    created_at: int
-    update_count: int = 1
     expected_view_count: int = 0
     detected_keyframes: set = field(default_factory=set)
+
+    @property
+    def update_count(self):
+        """Number of key frames that detected the object."""
+        return len(self.detected_keyframes)
 
 
 @dataclass
@@ -202,7 +189,7 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
     pose is world-from-camera. Matched detections update / split / merge
     configurations; unmatched ones found new objects; every object whose mean
     centroid falls in this frame's frustum gets an expected-view increment,
-    and matched objects an update-count increment (at most one per frame).
+    and matched objects record this key frame in detected_keyframes.
     """
     if obj_map.finalized:
         raise ValueError("cannot integrate into a finalized map")
@@ -214,7 +201,7 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
         hit = associate_detection(obj_map, det_world)
         if hit is None:
             obj_map.objects.append(
-                MapObject(det.label, [Configuration.from_detection(world_box)], frame_index)
+                MapObject(det.label, [Configuration.from_detection(world_box)])
             )
             matched.add(len(obj_map.objects) - 1)
             continue
@@ -240,9 +227,7 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
                 del obj.configurations[k]
         matched.add(j)
     for j in matched:
-        obj = obj_map.objects[j]
-        obj.update_count += 1 if obj.created_at != frame_index else 0
-        obj.detected_keyframes.add(frame_index)
+        obj_map.objects[j].detected_keyframes.add(frame_index)
     cam_from_world = pose.inverse()
     for obj in obj_map.objects:
         # an object is "expected in view" when any configuration mean is visible
@@ -278,10 +263,10 @@ def finalize_map(obj_map, total_keyframes):
     first stronger kept object that it was never detected in the same key
     frame with, when a centroid of each lies within the sum of the two boxes'
     half-diagonals. A same-label object's configurations join the host's; a
-    different-label object (a label confusion) adds only its update count.
-    Each kept object's configurations are then ordered by sample count, most
-    first. The input map is left unmodified. A finalized or loaded map is
-    rejected: its update counts no longer feed the persistence filter.
+    different-label object (a label confusion) adds only its detecting key
+    frames. Each kept object's configurations are then ordered by sample
+    count, most first. The input map is left unmodified. A finalized map is
+    rejected.
     """
     if obj_map.finalized:
         raise ValueError("cannot finalize a finalized map")
@@ -305,80 +290,11 @@ def finalize_map(obj_map, total_keyframes):
             continue
         if host.label == obj.label:
             host.configurations.extend(copy.deepcopy(obj.configurations))
-        host.update_count += obj.update_count
+        # the fold gate makes the two key-frame sets disjoint, so the host's
+        # update count grows by the folded object's
         host.detected_keyframes |= obj.detected_keyframes
     objects = [kept[i] for i in sorted(kept)]
     for obj in objects:
         obj.configurations.sort(key=lambda c: -c.centroid.sample_count)
     return ObjectMap(objects, params, obj_map.processed_keyframes, finalized=True)
 
-
-def map_to_json(obj_map):
-    return {
-        "fusion_params": {
-            "tau": obj_map.fusion_params.tau,
-            "chi2_gate": obj_map.fusion_params.chi2_gate,
-            "min_update_fraction": obj_map.fusion_params.min_update_fraction,
-            "min_updates": obj_map.fusion_params.min_updates,
-        },
-        "objects": [
-            {
-                "label": obj.label,
-                "configurations": [
-                    {
-                        "rotation": list(cfg.box.orientation.reshape(-1)),
-                        "extents": list(cfg.box.extents),
-                        "mean": list(cfg.centroid.mean),
-                        "covariance": list(cfg.centroid.covariance.reshape(-1)),
-                        "sample_count": cfg.centroid.sample_count,
-                    }
-                    for cfg in obj.configurations
-                ],
-            }
-            for obj in obj_map.objects
-        ],
-    }
-
-
-def save_map(obj_map, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_to_json(obj_map), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def map_from_json(doc):
-    try:
-        fp = doc["fusion_params"]
-        params = FusionParams(
-            tau=float(fp["tau"]),
-            chi2_gate=float(fp["chi2_gate"]),
-            min_update_fraction=float(fp["min_update_fraction"]),
-            min_updates=int(fp.get("min_updates", 2)),
-        )
-        objects = []
-        for rec in doc["objects"]:
-            cfgs = []
-            for c in rec["configurations"]:
-                mean = np.array(c["mean"], dtype=np.float64)
-                cov = np.array(c["covariance"], dtype=np.float64).reshape(3, 3)
-                centroid = GaussianCentroid(mean, cov, int(c["sample_count"]))
-                box = OrientedBox.create(
-                    mean,
-                    np.array(c["rotation"], dtype=np.float64).reshape(3, 3),
-                    np.array(c["extents"], dtype=np.float64),
-                )
-                cfgs.append(Configuration.from_summary(box, centroid))
-            objects.append(MapObject(rec["label"], cfgs, created_at=0,
-                                     update_count=1, expected_view_count=0))
-        return ObjectMap(objects, params, finalized=True)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise MapFileError(f"invalid map document: {exc}") from exc
-
-
-def load_map(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MapFileError(f"invalid JSON: {exc}") from exc
-    return map_from_json(doc)

@@ -152,9 +152,3 @@ def greedy_select(candidates, eigvec):
                 available[i] = False
     return CorrespondenceSet(tuple(chosen), np.array(scores))
 
-
-def match_frame_to_map(frame_objects, obj_map):
-    """Full matching chain: adjacency, eigenvector, greedy selection."""
-    candidates, a = build_adjacency(frame_objects, obj_map)
-    eigvec, _ = principal_eigenvector(a)
-    return greedy_select(candidates, eigvec)

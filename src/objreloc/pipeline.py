@@ -10,7 +10,6 @@ at the 5cm/5, 10cm/10, 15cm/15 thresholds.
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class RelocResult:
     correspondences_used: int = 0
     inlier_count: int = 0
     timing: dict = field(default_factory=dict)
-    debug: dict | None = None
     # ICP's report, left 0 / False when ICP did not run; icp_diverged means
     # pose_final fell back to pose_ao
     icp_iterations: int = 0
@@ -126,44 +124,30 @@ def _to_weighted_pairs(selected):
     ]
 
 
-def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
+def relocalise(frame, obj_map, surface, params=None):
     """Relocalise one lost frame against a finalized map.
 
     Chain: spectral matching -> RANSAC + probabilistic absolute orientation
     -> depth-centroid ICP. A frame that cannot be relocalised yields a failed
     result (reason TooFewObjects, NoConsensus, NoCorrespondences, ...), never
-    an exception. When ICP ends at a higher cost than it started from, its
-    pose is discarded: the result keeps the AO pose and sets icp_diverged.
+    an exception. When ICP diverges (ends at a higher cost than it started
+    from, beyond rounding), its pose is discarded: the result keeps the AO
+    pose and sets icp_diverged.
     The frame's ground-truth pose, if any, is stripped before any processing.
     """
     params = params or RelocParams()
     frame = frame.strip_gt()
     timing = {"match_ms": 0.0, "ao_ms": 0.0, "icp_ms": 0.0}
     t0 = time.perf_counter()
+    # the three matching steps are called here, on this module's names, so
+    # that perfbench/spans.py can time each of them
     candidates, adjacency = build_adjacency(frame.objects, obj_map)
     eigvec, _ = principal_eigenvector(adjacency)
     selected = greedy_select(candidates, eigvec)
     timing["match_ms"] = (time.perf_counter() - t0) * 1000.0
-    debug = None
-    if collect_debug:
-        debug = {
-            "adjacency": adjacency.tolist(),
-            "eigenvector": eigvec.tolist(),
-            "candidates": [
-                {
-                    "frame_index": c.frame_index,
-                    "map_object_index": c.map_object_index,
-                    "configuration_index": c.configuration_index,
-                }
-                for c in candidates
-            ],
-            "selected": [
-                (p.frame_index, p.map_object_index, p.configuration_index) for p in selected.pairs
-            ],
-        }
     if len(selected) < MIN_CORRESPONDENCES:
         return RelocResult(frame.frame_id, "failed", "TooFewObjects",
-                           correspondences_used=len(selected), timing=timing, debug=debug)
+                           correspondences_used=len(selected), timing=timing)
     pairs = _to_weighted_pairs(selected)
     t0 = time.perf_counter()
     try:
@@ -171,7 +155,7 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
     except (NoConsensus, TooFewPairs, CollinearPoints, NonDecreasingCost) as exc:
         timing["ao_ms"] = (time.perf_counter() - t0) * 1000.0
         return RelocResult(frame.frame_id, "failed", type(exc).__name__,
-                           correspondences_used=len(selected), timing=timing, debug=debug)
+                           correspondences_used=len(selected), timing=timing)
     timing["ao_ms"] = (time.perf_counter() - t0) * 1000.0
     pose_final = ao.pose
     icp = None
@@ -187,13 +171,13 @@ def relocalise(frame, obj_map, surface, params=None, collect_debug=False):
             timing["icp_ms"] = (time.perf_counter() - t0) * 1000.0
             return RelocResult(frame.frame_id, "failed", type(exc).__name__,
                                correspondences_used=len(selected),
-                               inlier_count=len(ao.inliers), timing=timing, debug=debug)
+                               inlier_count=len(ao.inliers), timing=timing)
         timing["icp_ms"] = (time.perf_counter() - t0) * 1000.0
         pose_final = ao.pose if icp.diverged else icp.pose
     return RelocResult(
         frame.frame_id, "success", None, ao.pose, pose_final,
         correspondences_used=len(selected), inlier_count=len(ao.inliers),
-        timing=timing, debug=debug,
+        timing=timing,
         icp_iterations=icp.iterations if icp else 0,
         icp_converged=icp.converged if icp else False,
         icp_diverged=icp.diverged if icp else False,
@@ -285,7 +269,6 @@ def _default_config():
         "reloc": _defaults(RelocParams, "ransac_seed"),
         "surface": {"voxel": SURFACE_VOXEL, "sigma_depth": 0.0},
         "thresholds": [list(t) for t in DEFAULT_THRESHOLDS],
-        "threads": 1,
     }
 
 
@@ -335,7 +318,6 @@ def resolve_config(user=None):
     _check(cfg["scene"]["object_count"] >= 0, "scene.object_count", "must be >= 0")
     _check(cfg["mcs"]["frame_count"] >= 1, "mcs.frame_count", "must be >= 1")
     _check(cfg["mcs"]["keyframe_every"] >= 1, "mcs.keyframe_every", "must be >= 1")
-    _check(cfg["threads"] >= 1, "threads", "must be >= 1")
     for i, seg in enumerate(cfg["rs_segments"]):
         _check(seg["kind"] in ("h", "v"), f"rs_segments[{i}].kind", "must be 'h' or 'v'")
         _check(seg["frame_count"] >= 1, f"rs_segments[{i}].frame_count", "must be >= 1")
@@ -422,14 +404,7 @@ def run_benchmark(config=None, ablate_icp=False):
             gt_poses[fid] = pose
             rs_frames.append(frame.strip_gt())
 
-    def worker(frame):
-        return relocalise(frame, obj_map, surface, reloc_params)
-
-    if cfg["threads"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-            results = list(pool.map(worker, rs_frames))
-    else:
-        results = [worker(f) for f in rs_frames]
+    results = [relocalise(f, obj_map, surface, reloc_params) for f in rs_frames]
 
     echo = json.loads(json.dumps(cfg))
     thresholds = [tuple(t) for t in cfg["thresholds"]]

@@ -40,6 +40,11 @@ ICP_STEP_TOL_M = 5e-4
 ICP_NORMAL_ANGLE_DEG = 45.0
 ICP_PCA_NEIGHBORS = 16
 ICP_MAX_POINTS = 20000
+# ICP diverged when its final cost exceeds the initial one by more than
+# rounding: a relative margin, plus a floor in m^2 (1 um of residual) for the
+# ~1e-28 costs of noise-free frames, whose rounding is tens of percent
+ICP_DIVERGED_RTOL = 1e-9
+ICP_DIVERGED_ATOL = 1e-12
 
 RANSAC_MAX_ITERS = 500
 
@@ -430,7 +435,8 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
     such a step at the final gate stops unconverged after ICP_ITERATIONS.
 
     Raises NoCorrespondences when w1 > 0 and every depth point is rejected at
-    some iteration. The diverged flag reports final cost > initial cost.
+    some iteration. The diverged flag reports a final cost above
+    initial cost * (1 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL.
     """
     pts = as_points(frame_points, "frame_points")
     if len(surface) == 0:
@@ -501,11 +507,13 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
     # cost after the final update, on the final correspondence set
     yk_fin = (pts @ rot.T + t)[acc_idx] if use_planes else yk
     final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m, w1, w2)[2]
+    diverged = initial_cost is not None and final_cost > (
+        initial_cost * (1.0 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL)
     return RegistrationResult(
         pose=RigidTransform(rot, t),
         inliers=tuple(range(len(inlier_pairs))),
         final_cost=final_cost,
         converged=converged,
         iterations=it,
-        diverged=bool(initial_cost is not None and final_cost > initial_cost),
+        diverged=bool(diverged),
     )

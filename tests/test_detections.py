@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,12 +5,8 @@ from objreloc.detections import (
     DetectedObject,
     FrameDetections,
     NoiseParams,
-    frame_to_json,
-    load_detections,
-    save_detections,
     simulate_detections,
 )
-from objreloc.errors import DetectionFileError
 from objreloc.geometry import OrientedBox, RigidTransform, rotation_angle_between, rotation_from_axis_angle
 from objreloc.scene import Scene, SceneObject, SensorParams, look_at
 
@@ -150,80 +144,13 @@ class TestSimulate:
         assert abs(total / n - 0.2) <= 0.05
 
 
-class TestDetectionFile:
-    def test_round_trip(self, tmp_path):
-        scene = one_object_scene()
-        params = NoiseParams(seed=21)
-        frames = [
-            simulate_detections(scene, looking_pose(), params, fid, TINY_SENSOR)
-            for fid in range(4)
-        ]
-        path = tmp_path / "dets.jsonl"
-        save_detections(frames, path)
-        loaded = load_detections(path)
-        assert len(loaded) == len(frames)
-        for a, b in zip(frames, loaded):
-            assert frames_equal(a, b)
+class TestRecordChecks:
+    def test_unknown_label_rejected(self):
+        box = OrientedBox.create(np.array([0.0, 0.0, 1.0]), np.eye(3), [0.1, 0.1, 0.1])
+        with pytest.raises(ValueError, match="'toaster' not in"):
+            DetectedObject("toaster", box)
 
-    def test_empty_list(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        save_detections([], path)
-        assert path.read_text() == ""
-        assert load_detections(path) == []
-
-    def test_no_objects_three_points(self, tmp_path):
-        frame = FrameDetections(7, [], np.array([[0.0, 0.0, 1.0], [1, 2, 3], [4, 5, 6.0]]))
-        path = tmp_path / "one.jsonl"
-        save_detections([frame], path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 1
-        rec = json.loads(lines[0])
-        assert rec["frame_id"] == 7
-        assert rec["objects"] == []
-        assert rec["camera_pose_gt"] is None
-        assert len(rec["depth_points"]) == 3
-
-    def test_invalid_label_names_line(self, tmp_path):
-        good = frame_to_json(FrameDetections(0, [], np.zeros((0, 3))))
-        bad = frame_to_json(FrameDetections(1, [], np.zeros((0, 3))))
-        bad["objects"] = [
-            {"label": "toaster", "centroid": [0, 0, 1], "rotation": list(np.eye(3).ravel()),
-             "extents": [0.1, 0.1, 0.1]}
-        ]
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(DetectionFileError, match="line 2"):
-            load_detections(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        rec = frame_to_json(FrameDetections(0, [], np.zeros((0, 3))))
-        rec["depth_points"] = [[0.0, 0.0, None]]
-        path = tmp_path / "nan.jsonl"
-        path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(DetectionFileError, match="line 1"):
-            load_detections(path)
-
-    def test_hand_written_minimal_record(self, tmp_path):
-        rec = {
-            "frame_id": 3,
-            "camera_pose_gt": None,
-            "objects": [
-                {
-                    "label": "mug",
-                    "centroid": [0.1, -0.2, 0.8],
-                    "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
-                    "extents": [0.05, 0.05, 0.05],
-                }
-            ],
-            "depth_points": [],
-            "future_field": {"ignored": True},
-        }
-        path = tmp_path / "minimal.jsonl"
-        path.write_text(json.dumps(rec) + "\n")
-        frames = load_detections(path)
-        assert len(frames) == 1
-        det = frames[0].objects[0]
-        assert det.label == "mug"
-        assert det.confidence == 1.0
-        np.testing.assert_allclose(det.box.centroid, [0.1, -0.2, 0.8])
-        assert abs(det.box.scale - 0.1) < 1e-12
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_depth_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="depth_points: contains non-finite values"):
+            FrameDetections(0, [], np.array([[0.0, 0.0, 1.0], [0.0, 0.0, bad]]))

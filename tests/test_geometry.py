@@ -12,7 +12,6 @@ from objreloc.geometry import (
     rotation_angle_between,
     rotation_from_axis_angle,
     rotation_mean,
-    transform_point,
 )
 from objreloc.oracles import lattice_box_iou, mc_box_iou
 
@@ -58,22 +57,22 @@ class TestRigidTransform:
         np.testing.assert_allclose(out.rotation, np.diag([-1.0, -1.0, 1.0]), atol=1e-12)
 
     def test_transform_point_identity(self):
-        assert np.allclose(transform_point(RigidTransform.identity(), [1, 2, 3]), [1, 2, 3])
+        assert np.allclose(RigidTransform.identity().apply([1, 2, 3]), [1, 2, 3])
 
     def test_transform_point_pure_translation(self):
         t = RigidTransform(np.eye(3), [1, 0, 0])
-        assert np.allclose(transform_point(t, [0, 0, 0]), [1, 0, 0])
+        assert np.allclose(t.apply([0, 0, 0]), [1, 0, 0])
 
     def test_transform_point_quarter_turn(self):
         t = RigidTransform(rz(90.0), np.zeros(3))
-        np.testing.assert_allclose(transform_point(t, [1, 0, 0]), [0, 1, 0], atol=1e-12)
+        np.testing.assert_allclose(t.apply([1, 0, 0]), [0, 1, 0], atol=1e-12)
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             t = random_transform(rng)
             p = rng.uniform(-5, 5, 3)
-            back = transform_point(t.inverse(), transform_point(t, p))
+            back = t.inverse().apply(t.apply(p))
             np.testing.assert_allclose(back, p, atol=1e-9)
 
     def test_invariants(self):

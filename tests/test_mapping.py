@@ -13,10 +13,6 @@ from objreloc.mapping import (
     associate_detection,
     finalize_map,
     integrate_keyframe,
-    load_map,
-    map_from_json,
-    map_to_json,
-    save_map,
     select_or_merge_configurations,
 )
 from objreloc.scene import (
@@ -38,7 +34,7 @@ def cube_det(label="mug", center=(0, 0, 0), half=0.5):
 
 def single_config_object(label="mug", center=(0, 0, 0), half=0.5):
     det = cube_det(label, center, half)
-    return MapObject(label, [Configuration.from_detection(det.box)], created_at=0)
+    return MapObject(label, [Configuration.from_detection(det.box)])
 
 
 class TestChiSquaredGate:
@@ -219,10 +215,35 @@ class TestIntegrate:
         np.testing.assert_allclose(means1, means2, atol=1e-9)
 
 
+def snapshot(obj_map):
+    """A map's labels, key-frame sets, view counts and configurations, as plain values."""
+    return [
+        (obj.label, sorted(obj.detected_keyframes), obj.expected_view_count, [
+            (cfg.centroid.mean.tolist(), cfg.centroid.covariance.tolist(),
+             cfg.centroid.sample_count, cfg.box.orientation.tolist(), cfg.box.extents.tolist())
+            for cfg in obj.configurations
+        ])
+        for obj in obj_map.objects
+    ]
+
+
 class TestFinalize:
+    def test_finalized_map_rejects_integration(self):
+        final = finalize_map(ObjectMap([single_config_object()]), 1)
+        with pytest.raises(ValueError):
+            integrate_keyframe(final, make_frame([]), RigidTransform.identity())
+
+    def test_finalize_rejects_finalized_map(self):
+        obj = single_config_object()
+        obj.detected_keyframes = {0, 1}
+        final = finalize_map(ObjectMap([obj], processed_keyframes=2), 2)
+        assert len(final) == 1
+        with pytest.raises(ValueError):
+            finalize_map(final, 2)
+
     def test_retained_at_quarter_fraction(self):
         obj = single_config_object()
-        obj.update_count = 10
+        obj.detected_keyframes = set(range(10))
         obj.expected_view_count = 20
         m = ObjectMap([obj], processed_keyframes=20)
         out = finalize_map(m, 20)
@@ -230,14 +251,14 @@ class TestFinalize:
 
     def test_false_positive_removed(self):
         obj = single_config_object()
-        obj.update_count = 1
+        obj.detected_keyframes = {0}
         obj.expected_view_count = 30
         m = ObjectMap([obj], processed_keyframes=30)
         assert len(finalize_map(m, 30)) == 0
 
     def test_single_update_removed_regardless_of_view_count(self):
         obj = single_config_object()
-        obj.update_count = 1
+        obj.detected_keyframes = {0}
         obj.expected_view_count = 1
         m = ObjectMap([obj], processed_keyframes=40)
         assert len(finalize_map(m, 40)) == 0
@@ -266,9 +287,9 @@ class TestFinalize:
             frame = simulate_detections(scene, pose, params, fid, TINY_SENSOR)
             integrate_keyframe(m, frame, pose, TINY_SENSOR)
         assert len(m) == 2
-        before = map_to_json(m)
+        before = snapshot(m)
         final = finalize_map(m, 20)
-        assert map_to_json(m) == before  # the input map is left unmodified
+        assert snapshot(m) == before  # the input map is left unmodified
         assert len(final) == 1
         cfgs = final.objects[0].configurations
         assert len(cfgs) == 2
@@ -334,47 +355,3 @@ class TestFinalize:
                 exact += ok
         assert exact >= 95
 
-
-class TestMapFile:
-    def test_round_trip_bit_exact(self, tmp_path):
-        scene = generate_scene(object_count=4, seed=7)
-        params = NoiseParams(seed=7)
-        poses = generate_trajectory(TrajectorySpec(frame_count=10, angle_range=90.0))
-        m = ObjectMap()
-        for fid, pose in enumerate(poses):
-            frame = simulate_detections(scene, pose, params, fid, TINY_SENSOR)
-            integrate_keyframe(m, frame, pose, TINY_SENSOR)
-        final = finalize_map(m, 10)
-        p1 = tmp_path / "map.json"
-        p2 = tmp_path / "map2.json"
-        save_map(final, p1)
-        loaded = load_map(p1)
-        save_map(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert loaded.finalized
-        assert [o.label for o in loaded.objects] == [o.label for o in final.objects]
-
-    def test_loaded_map_rejects_integration(self, tmp_path):
-        m = ObjectMap([single_config_object()])
-        final = finalize_map(m, 1)
-        with pytest.raises(ValueError):
-            integrate_keyframe(final, make_frame([]), RigidTransform.identity())
-
-    def test_finalize_rejects_finalized_or_loaded_map(self):
-        m = ObjectMap()
-        obj = single_config_object()
-        obj.update_count = 2
-        m.objects.append(obj)
-        final = finalize_map(m, 1)
-        assert len(final) == 1
-        loaded = map_from_json(map_to_json(final))
-        for done in (final, loaded):
-            with pytest.raises(ValueError):
-                finalize_map(done, 1)
-
-    def test_json_shape(self):
-        m = ObjectMap([single_config_object("mug")])
-        doc = map_to_json(m)
-        cfg = doc["objects"][0]["configurations"][0]
-        assert set(cfg) == {"rotation", "extents", "mean", "covariance", "sample_count"}
-        assert len(cfg["rotation"]) == 9 and len(cfg["covariance"]) == 9

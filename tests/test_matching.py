@@ -9,7 +9,6 @@ from objreloc.matching import (
     CorrespondenceSet,
     build_adjacency,
     greedy_select,
-    match_frame_to_map,
     principal_eigenvector,
 )
 from objreloc.oracles import brute_force_one_to_one
@@ -22,7 +21,7 @@ def det(label, center, scale_half=0.05):
 
 def map_of(dets):
     objects = [
-        MapObject(d.label, [Configuration.from_detection(d.box)], created_at=0)
+        MapObject(d.label, [Configuration.from_detection(d.box)])
         for d in dets
     ]
     return ObjectMap(objects)
@@ -220,7 +219,7 @@ class TestRigidInvariance:
             frame, m = random_instance(rng)
             if not frame:
                 continue
-            _, a0 = build_adjacency(frame, m)
+            c0, a0 = build_adjacency(frame, m)
             g = RigidTransform(
                 rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 180)),
                 rng.uniform(-2, 2, 3),
@@ -234,10 +233,10 @@ class TestRigidInvariance:
                 )
                 for d in frame
             ]
-            _, a1 = build_adjacency(moved, m)
+            c1, a1 = build_adjacency(moved, m)
             assert np.abs(a0 - a1).max() < 1e-9
-            s0 = match_frame_to_map(frame, m)
-            s1 = match_frame_to_map(moved, m)
+            s0 = greedy_select(c0, principal_eigenvector(a0)[0])
+            s1 = greedy_select(c1, principal_eigenvector(a1)[0])
             assert [
                 (p.frame_index, p.map_object_index, p.configuration_index) for p in s0.pairs
             ] == [(p.frame_index, p.map_object_index, p.configuration_index) for p in s1.pairs]
