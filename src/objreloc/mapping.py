@@ -3,8 +3,8 @@
 Key frames contribute detections that are associated to map objects by
 label-gated IoU, then routed to one of the object's box configurations by a
 chi-squared test on the squared Mahalanobis distance of the new centroid:
-all gates fail -> new configuration; exactly one passes -> update it; several
-pass -> merge them.
+no gate passes -> new configuration; one or more pass -> those configurations
+are pooled with the detection into one.
 
 Finalisation first discards objects that are not re-observed in enough of the
 key frames expected to see them. It then folds duplicates into their object:
@@ -64,32 +64,18 @@ class Configuration:
     """One bounding-box mode of a map object.
 
     Holds the full list of assigned observations (centroids, orientations,
-    extents) so that merges can re-pool; the mean box and Gaussian centroid
-    are recomputed after every change.
+    extents: the float64 arrays of detected OrientedBoxes), so that
+    configurations can be pooled into a new one; the mean box and Gaussian
+    centroid are computed from them on construction.
 
     A finalized map orders each object's configurations by sample count,
     most first; ties keep founding order.
     """
 
     def __init__(self, samples, orientations, extents_list):
-        self.samples = [np.asarray(s, dtype=np.float64) for s in samples]
-        self.orientations = [np.asarray(r, dtype=np.float64) for r in orientations]
-        self.extents_list = [np.asarray(e, dtype=np.float64) for e in extents_list]
-        self.box = None
-        self.centroid = None
-        self._recompute()
-
-    @staticmethod
-    def from_detection(box):
-        return Configuration([box.centroid], [box.orientation], [box.extents])
-
-    def add(self, box):
-        self.samples.append(np.asarray(box.centroid, dtype=np.float64))
-        self.orientations.append(np.asarray(box.orientation, dtype=np.float64))
-        self.extents_list.append(np.asarray(box.extents, dtype=np.float64))
-        self._recompute()
-
-    def _recompute(self):
+        self.samples = samples
+        self.orientations = orientations
+        self.extents_list = extents_list
         self.centroid = GaussianCentroid.from_samples(np.array(self.samples))
         try:
             rot = rotation_mean(self.orientations)
@@ -99,6 +85,10 @@ class Configuration:
             rot = self.orientations[0]
         mean_extents = np.mean(np.stack(self.extents_list), axis=0)
         self.box = OrientedBox.create(self.centroid.mean, rot, mean_extents)
+
+    @staticmethod
+    def from_detection(box):
+        return Configuration([box.centroid], [box.orientation], [box.extents])
 
 
 @dataclass
@@ -134,12 +124,6 @@ class ObjectMap:
         return len(self.objects)
 
 
-@dataclass(frozen=True)
-class GateDecision:
-    kind: str  # new | update | merge
-    indices: tuple = ()
-
-
 def associate_detection(obj_map, det):
     """Best (object, configuration) for a world-frame detection, or None.
 
@@ -160,21 +144,17 @@ def associate_detection(obj_map, det):
 
 
 def select_or_merge_configurations(obj, centroid, chi2_gate):
-    """Route a new centroid to the object's configurations by Mahalanobis gating.
+    """Indices, ascending, of the object's configurations whose Mahalanobis
+    gate a new centroid passes: d2 < gate passes, equality fails.
 
-    d2 < gate passes; equality fails. No configuration passing -> new; one ->
-    update(k); several -> merge(those k).
+    No gate passes -> the detection founds a new configuration; one or more
+    pass -> those configurations are pooled with the detection.
     """
-    passing = tuple(
+    return tuple(
         k
         for k, cfg in enumerate(obj.configurations)
         if mahalanobis_sq(centroid, cfg.centroid) < chi2_gate
     )
-    if not passing:
-        return GateDecision("new")
-    if len(passing) == 1:
-        return GateDecision("update", passing)
-    return GateDecision("merge", passing)
 
 
 def _world_box(box, pose):
@@ -186,7 +166,7 @@ def _world_box(box, pose):
 def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
     """Fuse one key frame's detections into the map (in place; returns the map).
 
-    pose is world-from-camera. Matched detections update / split / merge
+    pose is world-from-camera. Matched detections found or pool
     configurations; unmatched ones found new objects; every object whose mean
     centroid falls in this frame's frustum gets an expected-view increment,
     and matched objects record this key frame in detected_keyframes.
@@ -207,23 +187,19 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
             continue
         j, _ = hit
         obj = obj_map.objects[j]
-        decision = select_or_merge_configurations(
+        passing = select_or_merge_configurations(
             obj, world_box.centroid, obj_map.fusion_params.chi2_gate
         )
-        if decision.kind == "new":
+        if not passing:
             obj.configurations.append(Configuration.from_detection(world_box))
-        elif decision.kind == "update":
-            obj.configurations[decision.indices[0]].add(world_box)
         else:
-            pool = [obj.configurations[k] for k in decision.indices]
-            merged = Configuration(
+            pool = [obj.configurations[k] for k in passing]
+            obj.configurations[passing[0]] = Configuration(
                 [s for c in pool for s in c.samples] + [world_box.centroid],
                 [r for c in pool for r in c.orientations] + [world_box.orientation],
                 [e for c in pool for e in c.extents_list] + [world_box.extents],
             )
-            keep = decision.indices[0]
-            obj.configurations[keep] = merged
-            for k in sorted(decision.indices[1:], reverse=True):
+            for k in reversed(passing[1:]):
                 del obj.configurations[k]
         matched.add(j)
     for j in matched:

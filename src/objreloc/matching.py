@@ -8,7 +8,7 @@ frame object or a map object) get zero affinity. The principal eigenvector of
 that matrix ranks candidates, and a greedy pass extracts a one-to-one set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,10 @@ class CandidateCorrespondence:
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Selected one-to-one correspondences with their eigenvector scores."""
+    """Selected correspondences in selection order; no two share a frame
+    object or a map object."""
 
     pairs: tuple
-    scores: np.ndarray
 
     def __post_init__(self):
         frames = [p.frame_index for p in self.pairs]
@@ -50,10 +50,6 @@ class CorrespondenceSet:
 
     def __len__(self):
         return len(self.pairs)
-
-
-def _conflict(a, b):
-    return a.frame_index == b.frame_index or a.map_object_index == b.map_object_index
 
 
 def build_adjacency(frame_objects, obj_map):
@@ -133,22 +129,17 @@ def greedy_select(candidates, eigvec):
     """
     if len(candidates) != len(eigvec):
         raise ValueError("candidates and eigenvector lengths differ")
-    available = np.ones(len(candidates), dtype=bool)
+    fi = np.array([c.frame_index for c in candidates])
+    mi = np.array([c.map_object_index for c in candidates])
+    # taken and conflicting candidates score -inf; np.argmax returns the
+    # first of equal values, which is the lowest-index tie rule
+    score = np.array(eigvec, dtype=np.float64)
     chosen = []
-    scores = []
-    while np.any(available):
-        best = -1
-        best_score = SCORE_FLOOR
-        for i in np.flatnonzero(available):
-            if eigvec[i] > best_score:
-                best_score = eigvec[i]
-                best = i
-        if best < 0:
+    while len(score):
+        best = int(np.argmax(score))
+        if not score[best] > SCORE_FLOOR:
             break
         chosen.append(candidates[best])
-        scores.append(float(eigvec[best]))
-        for i in np.flatnonzero(available):
-            if i == best or _conflict(candidates[i], candidates[best]):
-                available[i] = False
-    return CorrespondenceSet(tuple(chosen), np.array(scores))
+        score[(fi == fi[best]) | (mi == mi[best])] = -np.inf
+    return CorrespondenceSet(tuple(chosen))
 

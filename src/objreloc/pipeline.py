@@ -8,6 +8,7 @@ configured view-change offsets) and scores the results against ground truth
 at the 5cm/5, 10cm/10, 15cm/15 thresholds.
 """
 
+import contextlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -30,7 +31,7 @@ from .matching import build_adjacency, greedy_select, principal_eigenvector
 from .registration import ICP_MAX_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
 from .scene import (SURFACE_VOXEL, SensorParams, TrajectorySpec, build_surface_model,
                     generate_scene, generate_trajectory)
-from .validation import check_integer
+from .validation import as_real, check_integer, check_nonnegative
 
 DEFAULT_THRESHOLDS = ((0.05, 5.0), (0.10, 10.0), (0.15, 15.0))
 
@@ -294,53 +295,107 @@ def _merge_config(defaults, user, path=""):
     return out
 
 
-def _check(cond, path, msg):
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
+@contextlib.contextmanager
+def _config_path(prefix):
+    """Re-raise a ValueError of the block, whose message starts with a field
+    name, as a ConfigError naming the field under prefix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _trajectory_specs(cfg):
+    """(map-construction spec, relocalisation-segment specs) of a config.
+
+    TrajectorySpec checks the trajectory values; a bad one raises ConfigError
+    under its key path.
+    """
+    mcs = cfg["mcs"]
+    with _config_path("mcs."):
+        mcs_spec = TrajectorySpec(
+            kind=mcs["kind"],
+            radius=mcs["radius"],
+            height=mcs["height"],
+            angle_range=mcs["angle_range"],
+            frame_count=mcs["frame_count"],
+            lookat=mcs["lookat"],
+            start_deg=-as_real(mcs["angle_range"], "angle_range") / 2.0,
+        )
+    seg_specs = []
+    for i, seg in enumerate(cfg["rs_segments"]):
+        with _config_path(f"rs_segments[{i}]."):
+            if seg["kind"] not in ("h", "v"):
+                raise ValueError(f"kind: must be 'h' or 'v', got {seg['kind']!r}")
+            sweep = as_real(seg["sweep_deg"], "sweep_deg")
+            seg_specs.append(TrajectorySpec(
+                kind="orbit_horizontal" if seg["kind"] == "h" else "arc_vertical",
+                radius=seg["radius"] if seg["radius"] is not None else mcs["radius"],
+                height=seg["height"] if seg["height"] is not None else mcs["height"],
+                angle_range=sweep,
+                frame_count=seg["frame_count"],
+                lookat=mcs["lookat"],
+                start_deg=as_real(seg["view_change_deg"], "view_change_deg") - sweep / 2.0,
+            ))
+    return mcs_spec, seg_specs
 
 
 def resolve_config(user=None):
     """Merge a user config over the defaults and validate it.
 
     rs_segments replaces the default list wholesale when given. The sensor,
-    noise, fusion and reloc sections are checked by their params classes. All
-    resolved values are echoed into the benchmark report.
+    noise, fusion and reloc sections are checked by their params classes, the
+    mcs and rs_segments trajectories by TrajectorySpec. A bad value raises
+    ConfigError with a message that starts with its key path. All resolved
+    values are echoed into the benchmark report.
     """
     user = dict(user or {})
     segments = user.pop("rs_segments", None)
     cfg = _merge_config(_default_config(), user)
     if segments is not None:
+        if not isinstance(segments, list) or not all(isinstance(s, dict) for s in segments):
+            raise ConfigError("rs_segments: expected a list of objects")
         seg_default = _default_config()["rs_segments"][0]
         cfg["rs_segments"] = [
             _merge_config(seg_default, seg, f"rs_segments[{i}]")
             for i, seg in enumerate(segments)
         ]
-    _check(cfg["scene"]["object_count"] >= 0, "scene.object_count", "must be >= 0")
-    _check(cfg["mcs"]["frame_count"] >= 1, "mcs.frame_count", "must be >= 1")
-    _check(cfg["mcs"]["keyframe_every"] >= 1, "mcs.keyframe_every", "must be >= 1")
-    for i, seg in enumerate(cfg["rs_segments"]):
-        _check(seg["kind"] in ("h", "v"), f"rs_segments[{i}].kind", "must be 'h' or 'v'")
-        _check(seg["frame_count"] >= 1, f"rs_segments[{i}].frame_count", "must be >= 1")
+    with _config_path(""):
+        check_integer(cfg["seed"], "seed", 0)
+        scene = cfg["scene"]
+        check_integer(scene["object_count"], "scene.object_count", 0)
+        check_integer(scene["clutter_count"], "scene.clutter_count", 0)
+        as_real(scene["plane_height"], "scene.plane_height")
+        as_real(scene["plane_extent"], "scene.plane_extent")
+        check_integer(cfg["mcs"]["keyframe_every"], "mcs.keyframe_every", 1)
+        if not as_real(cfg["surface"]["voxel"], "surface.voxel") > 0.0:
+            raise ValueError(f"surface.voxel: must be > 0, got {cfg['surface']['voxel']}")
+        check_nonnegative(cfg["surface"]["sigma_depth"], "surface.sigma_depth")
+        thresholds = cfg["thresholds"]
+        if not isinstance(thresholds, (list, tuple)) or not all(
+                isinstance(t, (list, tuple)) and len(t) == 2 for t in thresholds):
+            raise ValueError(f"thresholds: expected [trans_m, rot_deg] pairs, got {thresholds!r}")
+        for i, pair in enumerate(thresholds):
+            for value in pair:
+                as_real(value, f"thresholds[{i}]")
+    _trajectory_specs(cfg)
     for section, params_cls in (("sensor", SensorParams), ("noise", NoiseParams),
                                 ("fusion", FusionParams), ("reloc", RelocParams)):
-        try:
+        with _config_path(f"{section}."):
             params_cls(**cfg[section])
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{exc}") from exc
     return cfg
 
 
-def run_benchmark(config=None, ablate_icp=False):
+def run_benchmark(config=None):
     """Run the full synthetic benchmark described by config.
 
     Builds the map from the map-construction segment, relocalises every
-    relocalisation-segment frame and reports success rates. ablate_icp=True
-    evaluates the AO-only pipeline (skips the ICP refinement), mirroring the
-    with/without-ICP comparison.
+    relocalisation-segment frame and reports success rates. A config with
+    {"reloc": {"use_icp": false}} evaluates the AO-only pipeline (no surface
+    model, no ICP refinement), the other half of the with/without-ICP
+    comparison.
     """
     cfg = resolve_config(config)
-    if ablate_icp:
-        cfg["reloc"]["use_icp"] = False
     seed = int(cfg["seed"])
     sensor = SensorParams(**cfg["sensor"])
     noise = NoiseParams(**cfg["noise"], seed=seed)
@@ -356,17 +411,8 @@ def run_benchmark(config=None, ablate_icp=False):
         plane_extent=cfg["scene"]["plane_extent"],
         clutter_count=cfg["scene"]["clutter_count"],
     )
-    mcs = cfg["mcs"]
-    mcs_spec = TrajectorySpec(
-        kind=mcs["kind"],
-        radius=mcs["radius"],
-        height=mcs["height"],
-        angle_range=mcs["angle_range"],
-        frame_count=mcs["frame_count"],
-        lookat=tuple(mcs["lookat"]),
-        start_deg=-mcs["angle_range"] / 2.0,
-    )
-    kf_poses = generate_trajectory(mcs_spec)[:: mcs["keyframe_every"]]
+    mcs_spec, seg_specs = _trajectory_specs(cfg)
+    kf_poses = generate_trajectory(mcs_spec)[:: cfg["mcs"]["keyframe_every"]]
     t0 = time.perf_counter()
     kf_frames = [
         simulate_detections(scene, pose, noise, fid, sensor)
@@ -387,17 +433,7 @@ def run_benchmark(config=None, ablate_icp=False):
 
     rs_frames = []
     gt_poses = {}
-    for si, seg in enumerate(cfg["rs_segments"]):
-        kind = "orbit_horizontal" if seg["kind"] == "h" else "arc_vertical"
-        spec = TrajectorySpec(
-            kind=kind,
-            radius=seg["radius"] if seg["radius"] is not None else mcs["radius"],
-            height=seg["height"] if seg["height"] is not None else mcs["height"],
-            angle_range=seg["sweep_deg"],
-            frame_count=seg["frame_count"],
-            lookat=tuple(mcs["lookat"]),
-            start_deg=seg["view_change_deg"] - seg["sweep_deg"] / 2.0,
-        )
+    for si, spec in enumerate(seg_specs):
         for k, pose in enumerate(generate_trajectory(spec)):
             fid = 100000 * (si + 1) + k
             frame = simulate_detections(scene, pose, noise, fid, sensor)

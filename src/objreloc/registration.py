@@ -4,13 +4,17 @@ Three stages, matching the relocalisation chain: closed-form absolute
 orientation (horn_ao), Mahalanobis-weighted absolute orientation solved by
 Gauss-Newton (probabilistic_ao) wrapped in RANSAC (ransac_ao), and a
 point-to-plane ICP augmented with a centroid alignment term
-(depth_centroid_icp).
+(depth_centroid_icp). ICP's cost is the plain sum of the two terms: a frame
+without depth points is aligned by its centroids alone, and one without
+inlier pairs by its depth points alone.
 
 All solvers share one local parameterisation: a 6-vector delta = (dtheta, dt)
 applied multiplicatively on the left, T' = (exp([dtheta]x), dt) ∘ T.
 """
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
+from math import comb
 
 import numpy as np
 
@@ -47,6 +51,7 @@ ICP_DIVERGED_RTOL = 1e-9
 ICP_DIVERGED_ATOL = 1e-12
 
 RANSAC_MAX_ITERS = 500
+RANSAC_INLIER_M = 0.10  # centroid residual (m) below which a pair is an inlier
 
 
 @dataclass(frozen=True)
@@ -257,18 +262,17 @@ def probabilistic_ao(pairs, init):
     )
 
 
-def ransac_ao(pairs, inlier_threshold=0.10, seed=0):
+def ransac_ao(pairs, seed=0):
     """RANSAC over minimal 3-correspondence sets, then probabilistic refit on inliers.
 
     All C(n,3) subsets are enumerated when that count fits in
     RANSAC_MAX_ITERS, making the estimate deterministic; otherwise
-    RANSAC_MAX_ITERS seeded random subsets are drawn. Hypotheses are ranked by
-    inlier count with ties broken by lower summed inlier residual. Raises NoConsensus when the best
-    hypothesis has fewer than 3 inliers.
+    RANSAC_MAX_ITERS seeded random subsets are drawn. A pair is a
+    hypothesis' inlier when its residual is below RANSAC_INLIER_M.
+    Hypotheses are ranked by inlier count with ties broken by lower summed
+    inlier residual. Raises NoConsensus when the best hypothesis has fewer
+    than 3 inliers.
     """
-    import itertools
-    from math import comb
-
     n = len(pairs)
     if n < 3:
         raise TooFewPairs(f"ransac_ao needs >= 3 pairs, got {n}")
@@ -290,7 +294,7 @@ def ransac_ao(pairs, inlier_threshold=0.10, seed=0):
             continue
         rot, t = _fit_rigid(f[sub], m[sub])
         resid = np.linalg.norm(m - (f @ rot.T + t), axis=1)
-        mask = resid < inlier_threshold
+        mask = resid < RANSAC_INLIER_M
         count = int(np.count_nonzero(mask))
         score = (count, -float(resid[mask].sum()))
         if best_score is None or score > best_score:
@@ -371,25 +375,25 @@ def estimate_normals(points):
     return normals, variation
 
 
-def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target, w1, w2):
+def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target):
     """Normal equations (H, b) and cost terms for one linearisation of the
     combined point-to-plane + centroid cost at the current pose."""
     h = np.zeros((6, 6))
     b = np.zeros(6)
     plane_cost = 0.0
     cent_cost = 0.0
-    if w1 > 0.0 and len(y_pts) > 0:
+    if len(y_pts) > 0:
         e = np.einsum("ni,ni->n", map_nrm, map_pts - y_pts)
         g = np.concatenate([np.cross(y_pts, map_nrm), map_nrm], axis=1)
-        h += w1 * (g.T @ g)
-        b += w1 * (g.T @ e)
-        plane_cost = w1 * float(e @ e)
-    if w2 > 0.0 and len(cent_y) > 0:
+        h += g.T @ g
+        b += g.T @ e
+        plane_cost = float(e @ e)
+    if len(cent_y) > 0:
         r = cent_target - cent_y
         jac = np.concatenate([_skew(cent_y), -np.tile(np.eye(3), (len(cent_y), 1, 1))], axis=2)
-        h += w2 * np.einsum("nki,nkj->ij", jac, jac)
-        b -= w2 * np.einsum("nki,nk->i", jac, r)
-        cent_cost = w2 * float(np.einsum("ni,ni->", r, r))
+        h += np.einsum("nki,nkj->ij", jac, jac)
+        b -= np.einsum("nki,nk->i", jac, r)
+        cent_cost = float(np.einsum("ni,ni->", r, r))
     return h, b, plane_cost + cent_cost
 
 
@@ -404,28 +408,27 @@ def icp_assign(frame_points, surface, pose, d_max=ICP_D_MAX_END):
     return pts[keep], surface.points[idx[keep]], surface.normals[idx[keep]]
 
 
-def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose, w1=1.0, w2=1.0):
+def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose):
     """Combined ICP cost and local-chart gradient at pose for a FIXED
     correspondence assignment. Oracle hook for finite-difference checks."""
     y = pose.apply(np.asarray(frame_pts, dtype=np.float64).reshape(-1, 3))
     cf = np.array([p.frame_point for p in pairs]).reshape(-1, 3)
     cm = np.array([p.map_mean for p in pairs]).reshape(-1, 3)
-    _, b, cost = _icp_system(y, np.asarray(map_pts), np.asarray(map_normals), pose.apply(cf), cm, w1, w2)
+    _, b, cost = _icp_system(y, np.asarray(map_pts), np.asarray(map_normals), pose.apply(cf), cm)
     # b is the Gauss-Newton right-hand side, minus half the cost's gradient
     return cost, -2.0 * b
 
 
-def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0,
-                       max_points=ICP_MAX_POINTS):
+def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_MAX_POINTS):
     """Point-to-plane ICP with an added centroid-alignment term.
 
-    Minimises  w1 * sum_L (n^T (p_map - v(p, T)))^2 + w2 * sum_D ||u_map - v(u, T)||^2
+    Minimises  sum_L (n^T (p_map - v(p, T)))^2 + sum_D ||u_map - v(u, T)||^2
     starting from init; per iteration the nearest surface point is assigned to
     every frame point, gated by an annealed distance bound (ICP_D_MAX_START to
     ICP_D_MAX_END, linear over ICP_ITERATIONS) and by an ICP_NORMAL_ANGLE_DEG
     compatibility test between the frame-point normal (PCA over
-    ICP_PCA_NEIGHBORS neighbours) and the map normal. Both sums are raw as
-    written. Frames with more than max_points depth points are subsampled
+    ICP_PCA_NEIGHBORS neighbours) and the map normal. Both sums are raw and
+    unweighted. Frames with more than max_points depth points are subsampled
     evenly.
 
     The stop test is on the pose step: an update whose rotation part is
@@ -434,19 +437,17 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
     gate; at the final gate it counts as converged. A run that never takes
     such a step at the final gate stops unconverged after ICP_ITERATIONS.
 
-    Raises NoCorrespondences when w1 > 0 and every depth point is rejected at
-    some iteration. The diverged flag reports a final cost above
-    initial cost * (1 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL.
+    An empty depth cloud leaves the centroid term alone, and no inlier pairs
+    leave the plane term alone. Raises NoCorrespondences when depth points
+    are given and every one is rejected at some iteration. The diverged flag
+    reports a final cost above initial cost * (1 + ICP_DIVERGED_RTOL) +
+    ICP_DIVERGED_ATOL.
     """
     pts = as_points(frame_points, "frame_points")
-    if len(surface) == 0:
-        raise ValueError("surface is empty")
-    if w1 < 0 or w2 < 0 or (w1 == 0 and w2 == 0):
-        raise ValueError("w1, w2 must be non-negative and not both zero")
     if len(pts) > max_points:
         sel = np.linspace(0, len(pts) - 1, max_points).astype(np.int64)
         pts = pts[sel]
-    use_planes = w1 > 0.0 and len(pts) > 0
+    use_planes = len(pts) > 0
     if use_planes:
         frame_normals, variation = estimate_normals(pts)
         # a normal from a patch that straddles an edge is meaningless, so the
@@ -491,7 +492,7 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
             qk = yk
             nk = yk
         cy = cent_f @ rot.T + t if len(cent_f) else np.zeros((0, 3))
-        h, b, cost = _icp_system(yk, qk, nk, cy, cent_m, w1, w2)
+        h, b, cost = _icp_system(yk, qk, nk, cy, cent_m)
         if initial_cost is None:
             initial_cost = cost
         delta = np.linalg.lstsq(h, b, rcond=None)[0]
@@ -506,7 +507,7 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, w1=1.0, w2=1.0
             at_final_gate = True
     # cost after the final update, on the final correspondence set
     yk_fin = (pts @ rot.T + t)[acc_idx] if use_planes else yk
-    final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m, w1, w2)[2]
+    final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m)[2]
     diverged = initial_cost is not None and final_cost > (
         initial_cost * (1.0 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL)
     return RegistrationResult(

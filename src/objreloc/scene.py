@@ -108,20 +108,24 @@ class Scene:
 
 @dataclass(frozen=True)
 class TrajectorySpec:
-    kind: str = "orbit_horizontal"  # orbit_horizontal | arc_vertical | replay
+    kind: str = "orbit_horizontal"  # orbit_horizontal | arc_vertical
     radius: float = 1.4
     height: float = 1.0
     angle_range: float = 120.0
     frame_count: int = 40
     lookat: tuple = (0.0, 0.0, 0.0)
     start_deg: float = 0.0
-    poses: tuple = ()  # replay only
 
     def __post_init__(self):
-        if self.frame_count < 1:
-            raise ValueError("frame_count must be >= 1")
-        if self.kind != "replay" and self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if self.kind not in ("orbit_horizontal", "arc_vertical"):
+            raise ValueError(
+                f"kind: must be 'orbit_horizontal' or 'arc_vertical', got {self.kind!r}")
+        if not as_real(self.radius, "radius") > 0.0:
+            raise ValueError(f"radius: must be > 0, got {self.radius}")
+        for name in ("height", "angle_range", "start_deg"):
+            as_real(getattr(self, name), name)
+        check_integer(self.frame_count, "frame_count", 1)
+        object.__setattr__(self, "lookat", tuple(as_vector3(self.lookat, "lookat").tolist()))
 
 
 def _philox(*key):
@@ -233,12 +237,8 @@ def generate_trajectory(spec):
     orbit_horizontal sweeps azimuth start_deg + angle_range * k / frame_count
     at fixed height and radius; arc_vertical sweeps elevation start_deg +
     angle_range * k / frame_count above the elevation implied by height, at
-    azimuth 0; replay returns spec.poses unchanged.
+    azimuth 0. Every pose looks at spec.lookat.
     """
-    if spec.kind == "replay":
-        if not spec.poses:
-            raise ValueError("replay trajectory requires poses")
-        return list(spec.poses)
     lookat = np.asarray(spec.lookat, dtype=np.float64)
     poses = []
     for k in range(spec.frame_count):
@@ -251,12 +251,10 @@ def generate_trajectory(spec):
                     spec.height,
                 ]
             )
-        elif spec.kind == "arc_vertical":
+        else:
             el0 = np.arcsin(np.clip((spec.height - lookat[2]) / spec.radius, -1.0, 1.0))
             el = el0 + np.deg2rad(spec.start_deg + spec.angle_range * k / spec.frame_count)
             eye = lookat + spec.radius * np.array([np.cos(el), 0.0, np.sin(el)])
-        else:
-            raise ValueError(f"unknown trajectory kind {spec.kind!r}")
         poses.append(look_at(eye, lookat))
     return poses
 

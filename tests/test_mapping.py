@@ -73,27 +73,27 @@ class TestGateDecision:
     def test_zero_distance_updates(self):
         obj = single_config_object()
         d = select_or_merge_configurations(obj, np.zeros(3), CHI2_GATE_3DOF)
-        assert d.kind == "update" and d.indices == (0,)
+        assert d == (0,)
 
     def test_far_centroid_is_new(self):
         obj = single_config_object()
         obj.configurations[0].centroid = GaussianCentroid(np.zeros(3), np.eye(3) * 1e-4, 1)
         d = select_or_merge_configurations(obj, np.array([1.0, 0, 0]), CHI2_GATE_3DOF)
-        assert d.kind == "new"  # d^2 = 1e4 > 16.266
+        assert d == ()  # d^2 = 1e4 > 16.266
 
     def test_two_passing_merge(self):
         obj = single_config_object()
         second = Configuration.from_detection(cube_det(center=(0.02, 0, 0)).box)
         obj.configurations.append(second)
         d = select_or_merge_configurations(obj, np.array([0.01, 0, 0]), CHI2_GATE_3DOF)
-        assert d.kind == "merge" and d.indices == (0, 1)
+        assert d == (0, 1)
 
     def test_gate_equality_fails(self):
         obj = single_config_object()
         obj.configurations[0].centroid = GaussianCentroid(np.zeros(3), np.eye(3), 1)
         dist = np.sqrt(9.0)
         d = select_or_merge_configurations(obj, np.array([dist, 0, 0]), 9.0)
-        assert d.kind == "new"
+        assert d == ()
 
 
 def make_frame(dets, frame_id=0):
@@ -180,7 +180,7 @@ class TestIntegrate:
         d = select_or_merge_configurations(
             obj, obj.configurations[0].centroid.mean, m.fusion_params.chi2_gate
         )
-        assert d.kind == "update"
+        assert d == (0,)
 
     def test_object_count_never_decreases(self):
         rng = np.random.default_rng(1)

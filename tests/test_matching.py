@@ -138,12 +138,23 @@ class TestGreedySelect:
         c0 = CandidateCorrespondence(0, 0, 0, np.zeros(3), np.zeros(3), np.eye(3), 1.0, 1.0)
         c1 = CandidateCorrespondence(0, 1, 0, np.zeros(3), np.ones(3), np.eye(3), 1.0, 1.0)
         with pytest.raises(ValueError):
-            CorrespondenceSet((c0, c1 ,), np.array([1.0, 1.0]))
+            CorrespondenceSet((c0, c1 ,))
         with pytest.raises(ValueError):
             CorrespondenceSet(
                 (c0, CandidateCorrespondence(1, 0, 0, np.zeros(3), np.ones(3), np.eye(3), 1, 1)),
-                np.array([1.0, 1.0]),
             )
+
+    def test_equal_scores_select_lowest_index(self):
+        def cand(frame_index, map_index):
+            return CandidateCorrespondence(frame_index, map_index, 0, np.zeros(3), np.zeros(3),
+                                           np.eye(3), 1.0, 1.0)
+
+        # candidate 0 conflicts with none of the others and scores lower; 1, 2
+        # and 3 tie exactly, and 2 and 3 each conflict with 1
+        cands = [cand(0, 0), cand(1, 1), cand(1, 2), cand(2, 1)]
+        out = greedy_select(cands, np.array([0.5, 0.8, 0.8, 0.8]))
+        assert len(out) == 2
+        assert out.pairs[0] is cands[1] and out.pairs[1] is cands[0]
 
     def test_four_objects_with_decoy(self):
         centers = np.array([[0.4, 0.0, 0.05], [-0.3, 0.2, 0.08], [0.1, -0.4, 0.04], [-0.1, -0.1, 0.12]])

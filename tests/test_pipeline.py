@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -346,6 +347,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{section}\.{key}: {why}"):
             resolve_config({section: {key: value}})
 
+    @pytest.mark.parametrize("user, path", [
+        ({"mcs": {"frame_count": "5"}}, "mcs.frame_count"),
+        ({"mcs": {"radius": -1.0}}, "mcs.radius"),
+        ({"mcs": {"kind": "spiral"}}, "mcs.kind"),
+        ({"scene": {"object_count": "3"}}, "scene.object_count"),
+        ({"scene": {"object_count": 2.5}}, "scene.object_count"),
+        ({"rs_segments": [{"frame_count": "3"}]}, "rs_segments[0].frame_count"),
+        ({"rs_segments": [{"sweep_deg": "a"}]}, "rs_segments[0].sweep_deg"),
+        ({"seed": "x"}, "seed"),
+        ({"thresholds": [[0.05]]}, "thresholds"),
+        ({"surface": {"voxel": -0.01}}, "surface.voxel"),
+        ({"surface": {"voxel": 0.0}}, "surface.voxel"),
+    ])
+    def test_bad_value_names_its_key(self, user, path):
+        with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):
+            resolve_config(user)
+
+    def test_zero_voxel_stops_before_the_map(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("build_surface_model reached")
+
+        monkeypatch.setattr(pipeline, "build_surface_model", fail)
+        with pytest.raises(ConfigError, match=r"^surface\.voxel: "):
+            run_benchmark({"surface": {"voxel": 0.0}})
+
     def test_reloc_params_reject_zero_icp_points(self):
         with pytest.raises(ValueError, match="icp_max_points"):
             RelocParams(icp_max_points=0)
@@ -389,8 +415,8 @@ class TestRunBenchmark:
         assert a == b
 
     def test_ablate_icp_flag(self):
-        cfg = small_benchmark_config(noise=dict(ZERO_NOISE))
-        rep = run_benchmark(cfg, ablate_icp=True)
+        cfg = small_benchmark_config(noise=dict(ZERO_NOISE), reloc={"use_icp": False})
+        rep = run_benchmark(cfg)
         assert rep.config_echo["reloc"]["use_icp"] is False
         assert rep.success_rate_at[(0.05, 5.0)] == 1.0  # zero noise: AO alone is exact
 

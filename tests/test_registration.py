@@ -10,6 +10,7 @@ from objreloc.oracles import (
     weighted_ao_cost,
 )
 from objreloc.registration import (
+    RANSAC_INLIER_M,
     RegistrationResult,
     SurfaceModel,
     WeightedPair,
@@ -201,9 +202,9 @@ class TestRansacAO:
         map_pts = frame_pts @ gt.rotation.T + gt.translation
         map_pts[1] += [1.0, 0.3, -0.5]
         map_pts[4] += [-0.8, 1.0, 0.2]
-        res = ransac_ao(make_pairs(frame_pts, map_pts), inlier_threshold=0.1)
+        res = ransac_ao(make_pairs(frame_pts, map_pts))
         assert set(res.inliers) == {0, 2, 3, 5}
-        oracle = exhaustive_ransac_triples(frame_pts, map_pts, _fit_rigid, 0.1)
+        oracle = exhaustive_ransac_triples(frame_pts, map_pts, _fit_rigid, RANSAC_INLIER_M)
         assert set(res.inliers) == set(oracle)
 
     def test_monte_carlo_noise(self):
@@ -213,7 +214,7 @@ class TestRansacAO:
             gt = random_pose(rng, t_span=0.5)
             frame_pts = rng.uniform(-1, 1, (10, 3))
             map_pts = frame_pts @ gt.rotation.T + gt.translation + rng.normal(0, 0.005, (10, 3))
-            res = ransac_ao(make_pairs(frame_pts, map_pts), inlier_threshold=0.1)
+            res = ransac_ao(make_pairs(frame_pts, map_pts))
             terr, rerr = pose_error(res.pose, gt)
             if terr < 0.02 and rerr < 2.0:
                 hits += 1
@@ -223,8 +224,8 @@ class TestRansacAO:
         rng = np.random.default_rng(10)
         frame_pts = rng.uniform(-1, 1, (4, 3))
         map_pts = rng.uniform(50, 60, (4, 3)) * np.array([[1], [-1], [1], [-1]])
-        with pytest.raises(NoConsensus):
-            ransac_ao(make_pairs(frame_pts, map_pts), inlier_threshold=1e-6)
+        with pytest.raises(NoConsensus, match="best hypothesis has 0 inliers"):
+            ransac_ao(make_pairs(frame_pts, map_pts))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -313,7 +314,7 @@ class TestDepthCentroidICP:
         cents_w = cents_f @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, (5, 3))
         pairs = make_pairs(cents_f, cents_w)
         init = horn_ao(pairs)
-        icp = depth_centroid_icp(frame_pts, surface, pairs, init, w1=0.0, w2=1.0)
+        icp = depth_centroid_icp(np.zeros((0, 3)), surface, pairs, init)
         ao = probabilistic_ao(pairs, init)
         terr, rerr = pose_error(icp.pose, ao.pose)
         assert terr < 1e-6
@@ -323,21 +324,22 @@ class TestDepthCentroidICP:
         surface = SurfaceModel(pts, nrm)
         gt = RigidTransform.identity()
         frame_pts = pts[::2]
-        # w2 = 0: normal equations over a single plane are rank 3
+        # without centroids: normal equations over a single plane are rank 3
         y = frame_pts
         h, _, _ = _icp_system(
             y, surface.points[surface.nearest(y)[1]], surface.normals[surface.nearest(y)[1]],
-            np.zeros((0, 3)), np.zeros((0, 3)), 1.0, 0.0,
+            np.zeros((0, 3)), np.zeros((0, 3)),
         )
         assert np.sum(np.linalg.eigvalsh(h) > 1e-8 * np.linalg.eigvalsh(h).max()) == 3
-        # in-plane displacement is invisible to w2=0 and fixed by w2=1
+        # in-plane displacement is invisible to the plane term and fixed by
+        # the centroid term
         init = RigidTransform(rotation_from_axis_angle([0, 0, 1], 2.0), [0.04, -0.03, 0.0])
-        res0 = depth_centroid_icp(frame_pts, surface, [], init, w1=1.0, w2=0.0)
+        res0 = depth_centroid_icp(frame_pts, surface, [], init)
         terr0, rerr0 = pose_error(res0.pose, gt)
         assert terr0 > 0.01  # still displaced in the plane
         cents_f = np.array([[0.5, 0.0, 0.0], [-0.3, 0.4, 0.0], [0.1, -0.6, 0.0]])
         pairs = make_pairs(cents_f, cents_f, [np.eye(3) * 1e-4] * 3)
-        res1 = depth_centroid_icp(frame_pts, surface, pairs, init, w1=1.0, w2=1.0)
+        res1 = depth_centroid_icp(frame_pts, surface, pairs, init)
         terr1, rerr1 = pose_error(res1.pose, gt)
         assert terr1 < 1e-4 and rerr1 < 0.01
 
@@ -346,7 +348,7 @@ class TestDepthCentroidICP:
         surface = SurfaceModel(pts, nrm)
         frame_pts = np.array([[5.0, 5.0, 5.0], [5.1, 5.0, 5.0], [5.0, 5.1, 5.0], [5.2, 5.1, 5.0]])
         with pytest.raises(NoCorrespondences):
-            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(), w1=1.0, w2=0.0)
+            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity())
 
     def test_icp_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -111,11 +111,6 @@ class TestTrajectory:
         for p in poses:
             assert abs(np.linalg.norm(p.translation) - 1.5) < 1e-9
 
-    def test_replay(self):
-        ref = generate_trajectory(TrajectorySpec(frame_count=3))
-        out = generate_trajectory(TrajectorySpec(kind="replay", poses=tuple(ref)))
-        assert out == ref
-
     def test_camera_forward_axis_points_at_lookat(self):
         spec = TrajectorySpec(frame_count=7, angle_range=300.0, lookat=(0.1, -0.2, 0.1))
         for p in generate_trajectory(spec):
