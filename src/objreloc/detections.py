@@ -7,12 +7,14 @@ label confusion. All randomness comes from a counter-based generator keyed by
 (seed, frame_id), so frames are reproducible independently and in any order.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import OrientedBox, RigidTransform, rotation_from_axis_angle
-from .scene import CATEGORIES, DEFAULT_SENSOR, _philox, in_frustum, render_depth_points
+from .scene import (CATEGORIES, DEFAULT_SENSOR, SensorParams, _philox, in_frustum,
+                    render_depth_points)
 from .validation import as_points, check_nonnegative, check_probability
 
 # displacement of the flipped-mode centroid, along the object's own x axis;
@@ -37,17 +39,36 @@ class DetectedObject:
 
 @dataclass
 class FrameDetections:
+    """One frame's detections and camera-frame depth points.
+
+    A frame with a sensor holds an organised cloud: at most one depth point
+    per pixel of the sensor's grid, each on its pixel's ray
+    (SensorParams.lattice_index), so ICP takes its normals from the pixel
+    lattice. The pixels are recovered from the points, not stored.
+    Construction refuses a cloud that is not organised for the sensor. A
+    frame without a sensor holds an unorganised cloud.
+    """
+
     frame_id: int
     objects: list
     depth_points: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     camera_pose_gt: RigidTransform | None = None
+    sensor: SensorParams | None = None
 
     def __post_init__(self):
         self.depth_points = as_points(self.depth_points, "depth_points")
+        if self.sensor is not None:
+            self.sensor.lattice_index(self.depth_points, "depth_points")
 
     def strip_gt(self):
-        """Copy with the ground-truth pose removed (fed to relocalisation)."""
-        return FrameDetections(self.frame_id, list(self.objects), self.depth_points, None)
+        """Copy with the ground-truth pose removed (fed to relocalisation).
+
+        The copy shares the checked depth points and sensor, so it skips the
+        checks of construction."""
+        stripped = copy.copy(self)
+        stripped.objects = list(self.objects)
+        stripped.camera_pose_gt = None
+        return stripped
 
 
 @dataclass(frozen=True)
@@ -97,7 +118,8 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
     object's x axis, centroid displaced flip_offset along that axis); with
     p_label_confusion swap in a uniform different label. Poisson-many
     spurious detections are appended, then depth points are rendered with
-    sigma_depth noise. Boxes are reported in the camera frame.
+    sigma_depth noise. Boxes are reported in the camera frame; the frame
+    carries the sensor, whose pixel grid organises its depth points.
     """
     rng = _philox(params.seed, frame_id)
     world_from_cam = camera_pose
@@ -149,5 +171,6 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
     depth_points = render_depth_points(
         scene, world_from_cam, sensor, sigma_depth=params.sigma_depth, rng=rng
     )
-    return FrameDetections(frame_id, detections, depth_points, camera_pose_gt=camera_pose)
+    return FrameDetections(frame_id, detections, depth_points, camera_pose_gt=camera_pose,
+                           sensor=sensor)
 

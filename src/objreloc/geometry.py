@@ -9,7 +9,7 @@ Conventions: rotations are 3x3 row-major orthonormal matrices with det +1,
 translations and points are metres, angles returned in degrees.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,9 @@ CENTROID_PRIOR_SIGMA = 0.02  # m
 MIN_SAMPLES_FOR_COV = 3
 
 _ORTHONORMALITY_DRIFT = 1e-9
+
+# Signs that turn a box's half-size into its (lo, hi) offsets, exactly
+_LO_HI = np.array([[-1.0], [1.0]])
 
 # Slack of OrientedBox.contains, so points on a face count as inside
 _CONTAINS_TOL = 1e-12
@@ -138,18 +141,20 @@ def rotation_mean(rotations):
     return nearest_rotation(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedBox:
     """3D bounding box: centroid, orientation, per-axis half-lengths and scalar scale.
 
     scale is the cube root of the box volume, stored redundantly because the
-    correspondence matcher scores boxes by a single scalar size.
+    correspondence matcher scores boxes by a single scalar size. Slots, not
+    an instance dict: a map build holds thousands of boxes.
     """
 
     centroid: np.ndarray
     orientation: np.ndarray
     extents: np.ndarray
     scale: float
+    _bounds: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "centroid", as_vector3(self.centroid, "centroid"))
@@ -171,9 +176,17 @@ class OrientedBox:
         return float(8.0 * np.prod(self.extents))
 
     def aabb(self):
-        """Axis-aligned bounds (lo, hi) of the oriented box."""
-        half = np.abs(self.orientation) @ self.extents
-        return self.centroid - half, self.centroid + half
+        """Axis-aligned bounds (lo, hi) of the oriented box, as read-only arrays.
+
+        Computed on the first call and kept, since the box is immutable:
+        box_iou asks for both boxes' bounds on every call, and a fused box
+        meets many detections.
+        """
+        if self._bounds is None:
+            bounds = self.centroid + _LO_HI * (np.abs(self.orientation) @ self.extents)
+            bounds.flags.writeable = False
+            object.__setattr__(self, "_bounds", bounds)
+        return self._bounds[0], self._bounds[1]
 
     def contains(self, points, tol=_CONTAINS_TOL):
         """Boolean mask: which of the (N, 3) points lie inside the box."""

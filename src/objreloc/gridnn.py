@@ -3,7 +3,9 @@
 ICP queries every planar frame point against the surface model once per
 iteration. Queries carry ICP's distance gate as an upper bound, which prunes
 the tree search; a point with no surface point within it is a miss. Normal
-estimation asks for each frame point's k nearest frame points.
+estimation on an unorganised frame cloud (one without a sensor's pixel grid)
+asks for each frame point's k nearest frame points; an organised cloud takes
+its neighbours from the pixel lattice and builds no tree.
 """
 
 import numpy as np

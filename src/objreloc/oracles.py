@@ -235,3 +235,35 @@ def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):
     if best is None:
         return ()
     return best[1]
+
+
+def lattice_normals_every_point(points, sensor):
+    """estimate_normals' lattice path, point by point with np.linalg.eigh.
+
+    Each point's pixel is found by rounding its pinhole projection, which is
+    derived here from the sensor's field of view. A point's neighbourhood is
+    the points of its 3x3 pixel window, itself included; a point with fewer
+    than three neighbours gets normal (0, 0, 1) and surface variation inf.
+    Returns (normals, surface_variation) with variation = lambda_min / trace
+    of the window's centred scatter matrix.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    f = sensor.width / 2.0 / np.tan(np.radians(sensor.fov_deg) / 2.0)
+    pixel = {}
+    for i, (x, y, z) in enumerate(pts):
+        u = round(f * x / z + (sensor.width - 1) / 2.0)
+        v = round(f * y / z + (sensor.height - 1) / 2.0)
+        pixel[(u, v)] = i
+    normals = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
+    variation = np.full(len(pts), np.inf)
+    for (u, v), i in pixel.items():
+        window = [pixel[(u + du, v + dv)] for du in (-1, 0, 1) for dv in (-1, 0, 1)
+                  if (u + du, v + dv) in pixel]
+        if len(window) < 4:
+            continue
+        centred = pts[window] - pts[window].mean(axis=0)
+        scatter = centred.T @ centred
+        eigvals, eigvecs = np.linalg.eigh(scatter)
+        normals[i] = eigvecs[:, 0]
+        variation[i] = max(eigvals[0], 0.0) / np.trace(scatter)
+    return normals, variation

@@ -167,7 +167,7 @@ def relocalise(frame, obj_map, surface, params=None):
         t0 = time.perf_counter()
         try:
             icp = depth_centroid_icp(frame.depth_points, surface, inlier_pairs, ao.pose,
-                                     max_points=params.icp_max_points)
+                                     max_points=params.icp_max_points, sensor=frame.sensor)
         except NoCorrespondences as exc:
             timing["icp_ms"] = (time.perf_counter() - t0) * 1000.0
             return RelocResult(frame.frame_id, "failed", type(exc).__name__,

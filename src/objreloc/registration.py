@@ -8,6 +8,11 @@ point-to-plane ICP augmented with a centroid alignment term
 without depth points is aligned by its centroids alone, and one without
 inlier pairs by its depth points alone.
 
+ICP's frame normals are PCA normals (estimate_normals). A rendered frame's
+cloud is organised by the sensor's pixel grid, and its normals come from
+each point's 3x3 pixel window, as is usual for organised depth; an
+unorganised cloud falls back to a k-d tree and k nearest neighbours.
+
 All solvers share one local parameterisation: a 6-vector delta = (dtheta, dt)
 applied multiplicatively on the left, T' = (exp([dtheta]x), dt) ∘ T.
 """
@@ -351,9 +356,28 @@ def _cardano_smallest_eigvec(cov):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def estimate_normals(points):
-    """Unoriented per-point normals via PCA over the ICP_PCA_NEIGHBORS nearest
-    neighbours.
+def _lattice_windows(pts, sensor):
+    """(N, 9) indices into pts of the points in each point's 3x3 pixel window,
+    -1 where a window pixel has no point or lies outside the image."""
+    h = sensor.height
+    u, v = np.divmod(sensor.lattice_index(pts), h)
+    # a one-pixel border of empty pixels keeps every window inside the grid
+    grid = np.full((sensor.width + 2, h + 2), -1, dtype=np.int64)
+    grid[u + 1, v + 1] = np.arange(len(pts))
+    return np.stack([grid[u + 1 + du, v + 1 + dv] for du in (-1, 0, 1) for dv in (-1, 0, 1)],
+                    axis=1)
+
+
+def estimate_normals(points, sensor=None):
+    """Unoriented per-point normals by PCA over each point's neighbourhood.
+
+    With a sensor, the points form an organised cloud of that sensor's pixel
+    grid (SensorParams.lattice_index), and a point's neighbourhood is the
+    points of its 3x3 pixel window, itself included. A point with fewer than
+    three neighbours in its window gets surface variation inf, so it fails
+    any planar gate: three points fit a plane exactly however noisy they
+    are, and fewer fit none. Without a sensor, the neighbourhood is the
+    ICP_PCA_NEIGHBORS nearest points, found with a k-d tree.
 
     Returns (normals, surface_variation) where surface_variation is the
     smallest-eigenvalue fraction lambda_min / trace of each neighbourhood
@@ -362,16 +386,33 @@ def estimate_normals(points):
     """
     pts = as_points(points, "points")
     n = len(pts)
-    if n < 3:
+    if sensor is not None:
+        idx = _lattice_windows(pts, sensor)
+        valid = idx >= 0
+        count = valid.sum(axis=1)
+        # one (N, 9) array per axis: window offsets from the window's own
+        # point, 0 at empty pixels; the index -1 of an empty pixel picks the
+        # appended 0. The scatter is sum y y^T - count m m^T, with m the mean
+        # offset: offsets are centimetres, so little cancels.
+        cols = np.vstack([pts, np.zeros((1, 3))]).T.copy()
+        y = [(c[idx] - c[:-1, None]) * valid for c in cols]
+        m = [yi.sum(axis=1) / count for yi in y]
+        cov = np.empty((n, 3, 3))
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", y[i], y[j]) - count * m[i] * m[j]
+    elif n < 3:
         return np.tile([0.0, 0.0, 1.0], (n, 1)), np.zeros(n)
-    idx = KDTreeIndex(pts).query_knn(pts, min(ICP_PCA_NEIGHBORS, n))
-    nbrs = pts[idx]
-    centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
+    else:
+        idx = KDTreeIndex(pts).query_knn(pts, min(ICP_PCA_NEIGHBORS, n))
+        nbrs = pts[idx]
+        centered = nbrs - nbrs.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered)
     normals = _cardano_smallest_eigvec(cov)
     trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2]
     lam_min = np.einsum("ni,nij,nj->n", normals, cov, normals)
     variation = np.maximum(lam_min, 0.0) / np.maximum(trace, 1e-300)
+    if sensor is not None:
+        variation[count < 4] = np.inf
     return normals, variation
 
 
@@ -419,17 +460,23 @@ def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose):
     return cost, -2.0 * b
 
 
-def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_MAX_POINTS):
+def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_MAX_POINTS,
+                       sensor=None):
     """Point-to-plane ICP with an added centroid-alignment term.
 
     Minimises  sum_L (n^T (p_map - v(p, T)))^2 + sum_D ||u_map - v(u, T)||^2
     starting from init; per iteration the nearest surface point is assigned to
-    every frame point, gated by an annealed distance bound (ICP_D_MAX_START to
-    ICP_D_MAX_END, linear over ICP_ITERATIONS) and by an ICP_NORMAL_ANGLE_DEG
-    compatibility test between the frame-point normal (PCA over
-    ICP_PCA_NEIGHBORS neighbours) and the map normal. Both sums are raw and
-    unweighted. Frames with more than max_points depth points are subsampled
-    evenly.
+    every planar frame point, gated by an annealed distance bound
+    (ICP_D_MAX_START to ICP_D_MAX_END, linear over ICP_ITERATIONS) and by an
+    ICP_NORMAL_ANGLE_DEG compatibility test between the frame-point normal
+    and the map normal. Both sums are raw and unweighted.
+
+    Frame normals come from estimate_normals: from each point's 3x3 pixel
+    window when sensor is given (the cloud must be organised for it), from
+    its ICP_PCA_NEIGHBORS nearest points otherwise. They are computed on the
+    full cloud first; a cloud of more than max_points points is then
+    subsampled evenly, so a subsampled point keeps the normal of its full
+    neighbourhood.
 
     The stop test is on the pose step: an update whose rotation part is
     shorter than ICP_STEP_TOL_RAD and whose translation part is shorter than
@@ -444,12 +491,12 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
     ICP_DIVERGED_ATOL.
     """
     pts = as_points(frame_points, "frame_points")
-    if len(pts) > max_points:
-        sel = np.linspace(0, len(pts) - 1, max_points).astype(np.int64)
-        pts = pts[sel]
     use_planes = len(pts) > 0
     if use_planes:
-        frame_normals, variation = estimate_normals(pts)
+        frame_normals, variation = estimate_normals(pts, sensor)
+        if len(pts) > max_points:
+            sel = np.linspace(0, len(pts) - 1, max_points).astype(np.int64)
+            pts, frame_normals, variation = pts[sel], frame_normals[sel], variation[sel]
         # a normal from a patch that straddles an edge is meaningless, so the
         # 45-degree compatibility test cannot be trusted there; require the
         # patch to be planar relative to the cloud's own noise floor

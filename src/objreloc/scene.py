@@ -56,6 +56,10 @@ SURFACE_VOXEL = 0.01
 # rays to the exact test
 CULL_SLACK = 1e-6
 
+# Largest distance (pixels) between a point's projection and its pixel centre
+# in an organised cloud; a rendered point projects within ~1e-13 px of it
+LATTICE_TOL_PX = 1e-6
+
 
 @dataclass(frozen=True)
 class SensorParams:
@@ -77,6 +81,45 @@ class SensorParams:
     @property
     def tan_half_fov(self):
         return float(np.tan(np.deg2rad(self.fov_deg) / 2.0))
+
+    @property
+    def pinhole(self):
+        """(f, cx, cy) in pixels: pixel (u, v) looks along ((u - cx) / f, (v - cy) / f, 1)."""
+        f = (self.width / 2.0) / self.tan_half_fov
+        return f, (self.width - 1) / 2.0, (self.height - 1) / 2.0
+
+    def lattice_index(self, points, name="points"):
+        """Flat pixel index u * height + v (the ray grid's order) of each
+        camera-frame point of an organised cloud: one point at most per pixel,
+        each on its pixel's ray, in front of the sensor.
+
+        The pixel is recovered by projecting the point, so a cloud needs no
+        stored pixel array. Raises ValueError naming the cloud when a point
+        has z <= 0, projects more than LATTICE_TOL_PX from a pixel centre or
+        outside the image, or shares its pixel with another point.
+        """
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        z = p[:, 2]
+        if not (z > 0.0).all():
+            raise ValueError(f"{name}: {np.count_nonzero(~(z > 0.0))} points have z <= 0")
+        f, cx, cy = self.pinhole
+        u = f * p[:, 0] / z + cx
+        v = f * p[:, 1] / z + cy
+        ui = np.rint(u)
+        vi = np.rint(v)
+        off = max(float(np.abs(u - ui).max(initial=0.0)), float(np.abs(v - vi).max(initial=0.0)))
+        if off > LATTICE_TOL_PX:
+            raise ValueError(f"{name}: a point lies {off:.3g} px off its pixel's ray")
+        if len(p) and (min(ui.min(), vi.min()) < 0.0
+                       or ui.max() >= self.width or vi.max() >= self.height):
+            raise ValueError(
+                f"{name}: a point projects outside the {self.width}x{self.height} image")
+        flat = (ui * self.height + vi).astype(np.int64)
+        # a rendered cloud comes in pixel order, which rules out a shared pixel
+        # without a sort
+        if not (flat[1:] > flat[:-1]).all() and len(np.unique(flat)) != len(flat):
+            raise ValueError(f"{name}: two points share a pixel")
+        return flat
 
 
 DEFAULT_SENSOR = SensorParams()
@@ -263,9 +306,7 @@ def generate_trajectory(spec):
 def _ray_dirs(sensor):
     """Unit camera-frame ray per pixel, u outer and v inner; one shared,
     read-only array per sensor."""
-    fx = (sensor.width / 2.0) / sensor.tan_half_fov
-    cx = (sensor.width - 1) / 2.0
-    cy = (sensor.height - 1) / 2.0
+    fx, cx, cy = sensor.pinhole
     u, v = np.meshgrid(np.arange(sensor.width), np.arange(sensor.height), indexing="ij")
     d = np.stack([(u.ravel() - cx) / fx, (v.ravel() - cy) / fx, np.ones(u.size)], axis=1)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
@@ -397,16 +438,22 @@ def _raycast(scene, camera_pose, sensor):
 
 
 def _render(scene, camera_pose, sensor, sigma_depth, rng):
-    """Camera-frame depth points and world normals of the rays that hit."""
+    """Camera-frame depth points and world normals of the rays that hit.
+
+    A hit whose noisy depth is not positive returns no depth, as a sensor
+    reports none behind itself, so the points form an organised cloud.
+    """
     t, normals, dirs_cam = _raycast(scene, camera_pose, sensor)
     noise = rng.normal(0.0, sigma_depth, len(t)) if sigma_depth > 0.0 else np.zeros(len(t))
-    hit = np.isfinite(t)
-    return dirs_cam[hit] * (t[hit] + noise[hit])[:, None], normals[hit]
+    depth = t + noise
+    hit = np.isfinite(t) & (depth > 0.0)
+    return dirs_cam[hit] * depth[hit][:, None], normals[hit]
 
 
 def render_depth_points(scene, camera_pose, sensor=DEFAULT_SENSOR, sigma_depth=0.0, seed=0, rng=None):
     """Depth point cloud in the camera frame: nearest hit per ray, perturbed
-    along the ray by N(0, sigma_depth^2); misses omitted.
+    along the ray by N(0, sigma_depth^2); misses, and hits whose perturbed
+    depth is not positive, omitted.
 
     Deterministic given (seed, camera_pose) when rng is not supplied.
     """

@@ -13,7 +13,10 @@ ROTATION_TOL = 1e-8
 
 
 def as_vector3(x, name="x"):
-    v = np.asarray(x, dtype=np.float64)
+    try:
+        v = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, a mapping, a ragged list
+        raise ValueError(f"{name}: {exc}") from exc
     if v.shape != (3,):
         raise ValueError(f"{name}: expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -22,7 +25,10 @@ def as_vector3(x, name="x"):
 
 
 def as_matrix3(x, name="x"):
-    m = np.asarray(x, dtype=np.float64)
+    try:
+        m = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, a mapping, a ragged list
+        raise ValueError(f"{name}: {exc}") from exc
     if m.shape != (3, 3):
         raise ValueError(f"{name}: expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -32,7 +38,10 @@ def as_matrix3(x, name="x"):
 
 def as_points(x, name="points"):
     """Coerce to an (N, 3) float64 array; an empty input becomes (0, 3)."""
-    p = np.asarray(x, dtype=np.float64)
+    try:
+        p = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a string, a mapping, a ragged list
+        raise ValueError(f"{name}: {exc}") from exc
     if p.size == 0:
         return p.reshape(0, 3)
     if p.ndim != 2 or p.shape[1] != 3:

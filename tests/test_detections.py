@@ -8,7 +8,8 @@ from objreloc.detections import (
     simulate_detections,
 )
 from objreloc.geometry import OrientedBox, RigidTransform, rotation_angle_between, rotation_from_axis_angle
-from objreloc.scene import Scene, SceneObject, SensorParams, look_at
+from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, SensorParams, TrajectorySpec,
+                            generate_scene, generate_trajectory, look_at)
 
 TINY_SENSOR = SensorParams(width=8, height=6)
 
@@ -154,3 +155,65 @@ class TestRecordChecks:
     def test_non_finite_depth_point_rejected(self, bad):
         with pytest.raises(ValueError, match="depth_points: contains non-finite values"):
             FrameDetections(0, [], np.array([[0.0, 0.0, 1.0], [0.0, 0.0, bad]]))
+
+
+class TestOrganisedCloud:
+    """A simulated frame carries its sensor, and its depth points are the
+    sensor's organised cloud: at most one point per pixel, each on its ray."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        desk = generate_scene(object_count=5, seed=2)
+        poses = generate_trajectory(TrajectorySpec(frame_count=12, angle_range=360.0))
+        return [simulate_detections(desk, pose, NoiseParams(seed=2), fid, sensor)
+                for sensor in (DEFAULT_SENSOR, SensorParams(fov_deg=60.0, width=64, height=48))
+                for fid, pose in enumerate(poses)]
+
+    def test_simulated_frames_are_organised(self, frames):
+        for frame in frames:
+            assert frame.sensor is not None and len(frame.depth_points) > 0
+            flat = frame.sensor.lattice_index(frame.depth_points)
+            assert np.all(np.diff(flat) > 0)  # the renderer's pixel order
+            stripped = frame.strip_gt()
+            assert stripped.sensor is frame.sensor and stripped.camera_pose_gt is None
+
+    def test_shuffled_cloud_is_organised(self, frames):
+        frame = frames[0]
+        perm = np.random.default_rng(3).permutation(len(frame.depth_points))
+        FrameDetections(0, [], frame.depth_points[perm], sensor=frame.sensor)
+
+    def test_shared_pixel_rejected(self, frames):
+        frame = frames[0]
+        pts = np.vstack([frame.depth_points, frame.depth_points[5] * 1.01])
+        pts = pts[np.random.default_rng(4).permutation(len(pts))]
+        with pytest.raises(ValueError, match="depth_points: two points share a pixel"):
+            FrameDetections(0, [], pts, sensor=frame.sensor)
+
+    def test_point_off_its_ray_rejected(self, frames):
+        frame = frames[0]
+        pts = frame.depth_points.copy()
+        pts[7, 0] += 1e-4
+        with pytest.raises(ValueError, match="depth_points: a point lies .* off its pixel's ray"):
+            FrameDetections(0, [], pts, sensor=frame.sensor)
+
+    @pytest.mark.parametrize("z", [0.0, -1.0])
+    def test_point_behind_the_sensor_rejected(self, z):
+        with pytest.raises(ValueError, match="depth_points: 1 points have z <= 0"):
+            FrameDetections(0, [], [[0.0, 0.0, 1.0], [0.0, 0.0, z]], sensor=DEFAULT_SENSOR)
+
+    def test_point_outside_the_image_rejected(self):
+        f, cx, cy = DEFAULT_SENSOR.pinhole
+        with pytest.raises(ValueError, match="depth_points: a point projects outside"):
+            FrameDetections(0, [], [[(-1.0 - cx) / f, -cy / f, 1.0]], sensor=DEFAULT_SENSOR)
+
+    def test_depth_noise_never_puts_a_point_behind_the_sensor(self):
+        desk = generate_scene(object_count=5, seed=2)
+        pose = generate_trajectory(TrajectorySpec(frame_count=1))[0]
+        clean = simulate_detections(desk, pose, NoiseParams(seed=2, sigma_depth=0.0), 0)
+        noisy = simulate_detections(desk, pose, NoiseParams(seed=2, sigma_depth=2.0), 0)
+        assert np.all(noisy.depth_points[:, 2] > 0.0)
+        assert 0 < len(noisy.depth_points) < len(clean.depth_points)
+
+    def test_cloud_without_sensor_is_not_checked(self, frames):
+        pts = np.vstack([frames[0].depth_points, frames[0].depth_points[:3]])
+        assert FrameDetections(0, [], pts).sensor is None

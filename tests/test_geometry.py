@@ -193,6 +193,19 @@ class TestBoxIoU:
         assert partial >= len(pairs) // 2
 
 
+class TestAabb:
+    def test_bounds_are_computed_once_and_read_only(self):
+        rng = np.random.default_rng(6)
+        box = random_box(rng)
+        lo, hi = box.aabb()
+        again = box.aabb()
+        assert np.shares_memory(again[0], lo) and np.shares_memory(again[1], hi)
+        half = np.abs(box.orientation) @ box.extents
+        assert np.array_equal(lo, box.centroid - half) and np.array_equal(hi, box.centroid + half)
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
+
+
 class TestMahalanobis:
     def test_zero_offset(self):
         g = GaussianCentroid([1, 2, 3], np.eye(3), 0)

@@ -3,9 +3,11 @@ import pytest
 
 from objreloc.errors import CollinearPoints, NoConsensus, NoCorrespondences, TooFewPairs
 from objreloc.geometry import RigidTransform, compose, rotation_angle_between, rotation_from_axis_angle
+from objreloc import registration
 from objreloc.oracles import (
     coordinate_descent_ao,
     exhaustive_ransac_triples,
+    lattice_normals_every_point,
     numerical_gradient,
     weighted_ao_cost,
 )
@@ -26,6 +28,7 @@ from objreloc.registration import (
     probabilistic_ao,
     ransac_ao,
 )
+from objreloc.scene import DEFAULT_SENSOR, generate_scene, look_at, render_depth_points
 
 
 def make_pairs(frame_pts, map_pts, covs=None):
@@ -400,6 +403,72 @@ class TestNormals:
         pts[:, 2] *= 0.05
         n, _ = estimate_normals(pts)
         assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-9)
+
+
+def noisy_rendered_cloud(keep):
+    """Depth points of a 160x120 frame of a five-object desk with 5 mm depth
+    noise, of which a random `keep` fraction is kept (in pixel order). The
+    ground reaches three of the image's borders."""
+    desk = generate_scene(object_count=5, seed=0)
+    pose = look_at([np.cos(0.5), np.sin(0.5), 0.8], [0.0, 0.0, 0.0])
+    pts = render_depth_points(desk, pose, DEFAULT_SENSOR, sigma_depth=0.005, seed=3)
+    rng = np.random.default_rng(16)
+    return pts[np.sort(rng.choice(len(pts), int(keep * len(pts)), replace=False))]
+
+
+class TestLatticeNormals:
+    """estimate_normals on an organised cloud: 3x3 pixel windows, no k-d tree."""
+
+    @pytest.mark.parametrize("keep", [1.0, 0.5])
+    def test_matches_every_point_oracle(self, keep, monkeypatch):
+        pts = noisy_rendered_cloud(keep)
+        monkeypatch.setattr(registration, "KDTreeIndex", None)  # the lattice path builds no tree
+        normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
+        want_n, want_v = lattice_normals_every_point(pts, DEFAULT_SENSOR)
+        defined = np.isfinite(want_v)
+        assert np.array_equal(np.isfinite(variation), defined)
+        assert np.abs(variation[defined] - want_v[defined]).max() <= 1e-12
+        n, w = normals[defined], want_n[defined]
+        assert np.minimum(np.abs(n - w).max(axis=1), np.abs(n + w).max(axis=1)).max() <= 1e-9
+
+        # the cloud has every kind of window: image borders, holes, depth
+        # edges, and points with fewer than three neighbours
+        u, v = np.divmod(DEFAULT_SENSOR.lattice_index(pts), DEFAULT_SENSOR.height)
+        assert np.any(u == 0) or np.any(u == DEFAULT_SENSOR.width - 1)
+        assert np.any(v == 0) or np.any(v == DEFAULT_SENSOR.height - 1)
+        windows = registration._lattice_windows(pts, DEFAULT_SENSOR)
+        inside = ((u > 0) & (u < DEFAULT_SENSOR.width - 1)
+                  & (v > 0) & (v < DEFAULT_SENSOR.height - 1))
+        assert np.any(inside & np.any(windows < 0, axis=1))
+        depth = np.where(windows >= 0, pts[windows, 2], np.nan)
+        assert np.any(np.nanmax(depth, axis=1) - np.nanmin(depth, axis=1) > 0.05)
+        few = np.count_nonzero(windows >= 0, axis=1) < 4
+        assert np.array_equal(few, ~defined)
+        assert few.any() == (keep < 1.0)  # only thinning leaves such points here
+
+        # those fail ICP's planar gate, and nothing is NaN
+        planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
+        assert np.all(variation[few] > planar_gate)
+        assert np.all(np.isfinite(normals))
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+        assert not np.any(np.isnan(variation))
+
+    def test_point_order_does_not_matter(self):
+        pts = noisy_rendered_cloud(0.5)
+        perm = np.random.default_rng(17).permutation(len(pts))
+        normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
+        shuffled_n, shuffled_v = estimate_normals(pts[perm], DEFAULT_SENSOR)
+        assert np.array_equal(shuffled_v, variation[perm])
+        assert np.array_equal(shuffled_n, normals[perm])
+
+    def test_plane_normals(self):
+        # a wall facing the sensor at 1 m: every full window is exactly planar
+        f, cx, cy = DEFAULT_SENSOR.pinhole
+        u, v = np.meshgrid(np.arange(40, 80), np.arange(30, 60), indexing="ij")
+        pts = np.column_stack([(u.ravel() - cx) / f, (v.ravel() - cy) / f, np.ones(u.size)])
+        normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
+        assert np.abs(np.abs(normals[:, 2]) - 1.0).max() < 1e-9
+        assert variation.max() < 1e-12
 
 
 class TestSurfaceModel:
