@@ -41,24 +41,24 @@ class DetectedObject:
 class FrameDetections:
     """One frame's detections and camera-frame depth points.
 
-    A frame with a sensor holds an organised cloud: at most one depth point
-    per pixel of the sensor's grid, each on its pixel's ray
+    The depth points are an organised cloud of the frame's sensor: at most
+    one point per pixel of the sensor's grid, each on its pixel's ray
     (SensorParams.lattice_index), so ICP takes its normals from the pixel
     lattice. The pixels are recovered from the points, not stored.
-    Construction refuses a cloud that is not organised for the sensor. A
-    frame without a sensor holds an unorganised cloud.
+    Construction refuses a cloud that is not organised for the sensor.
     """
 
     frame_id: int
     objects: list
     depth_points: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     camera_pose_gt: RigidTransform | None = None
-    sensor: SensorParams | None = None
+    sensor: SensorParams = DEFAULT_SENSOR
 
     def __post_init__(self):
         self.depth_points = as_points(self.depth_points, "depth_points")
-        if self.sensor is not None:
-            self.sensor.lattice_index(self.depth_points, "depth_points")
+        if not isinstance(self.sensor, SensorParams):
+            raise ValueError(f"sensor: expected SensorParams, got {self.sensor!r}")
+        self.sensor.lattice_index(self.depth_points, "depth_points")
 
     def strip_gt(self):
         """Copy with the ground-truth pose removed (fed to relocalisation).

@@ -2,18 +2,14 @@
 
 ICP queries every planar frame point against the surface model once per
 iteration. Queries carry ICP's distance gate as an upper bound, which prunes
-the tree search; a point with no surface point within it is a miss. Normal
-estimation on an unorganised frame cloud (one without a sensor's pixel grid)
-asks for each frame point's k nearest frame points; an organised cloud takes
-its neighbours from the pixel lattice and builds no tree.
+the tree search; a point with no surface point within it is a miss.
 """
 
 import numpy as np
 
 
 class KDTreeIndex:
-    """Nearest-neighbour queries with an optional distance upper bound, and
-    k-nearest-neighbour queries."""
+    """Nearest-neighbour queries with an optional distance upper bound."""
 
     def __init__(self, points):
         from scipy.spatial import cKDTree
@@ -31,7 +27,3 @@ class KDTreeIndex:
         i = np.where(np.isinf(d), -1, i).astype(np.int64)
         return d, i
 
-    def query_knn(self, queries, k):
-        """Indices (len(queries), k) of the k nearest reference points of each
-        query, nearest first; k must not exceed the number of points."""
-        return self._tree.query(queries, k=k, workers=-1)[1]

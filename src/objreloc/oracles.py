@@ -238,7 +238,7 @@ def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):
 
 
 def lattice_normals_every_point(points, sensor):
-    """estimate_normals' lattice path, point by point with np.linalg.eigh.
+    """estimate_normals, point by point with np.linalg.eigh.
 
     Each point's pixel is found by rounding its pinhole projection, which is
     derived here from the sensor's field of view. A point's neighbourhood is

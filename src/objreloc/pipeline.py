@@ -29,8 +29,8 @@ from .geometry import rotation_angle_between
 from .mapping import FusionParams, ObjectMap, finalize_map, integrate_keyframe
 from .matching import build_adjacency, greedy_select, principal_eigenvector
 from .registration import ICP_MAX_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
-from .scene import (SURFACE_VOXEL, SensorParams, TrajectorySpec, build_surface_model,
-                    generate_scene, generate_trajectory)
+from .scene import (DEFAULT_SENSOR, SURFACE_VOXEL, SensorParams, TrajectorySpec,
+                    build_surface_model, generate_scene, generate_trajectory)
 from .validation import as_real, check_integer, check_nonnegative
 
 DEFAULT_THRESHOLDS = ((0.05, 5.0), (0.10, 10.0), (0.15, 15.0))
@@ -95,7 +95,7 @@ class BenchmarkReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, separators=(",", ":"))
 
 
-def build_map(frames, fusion=None, sensor=None, scene=None, surface_sigma_depth=0.0,
+def build_map(frames, fusion=None, sensor=DEFAULT_SENSOR, scene=None, surface_sigma_depth=0.0,
               surface_seed=0, voxel=SURFACE_VOXEL):
     """Fuse posed key frames into a finalized object map (+ surface model).
 
@@ -103,7 +103,6 @@ def build_map(frames, fusion=None, sensor=None, scene=None, surface_sigma_depth=
     for the SLAM tracker. The surface model is rendered from the same poses
     and requires the scene; pass scene=None to skip it (AO-only pipelines).
     """
-    sensor = sensor or SensorParams()
     obj_map = ObjectMap(fusion_params=fusion or FusionParams())
     poses = []
     for frame in frames:

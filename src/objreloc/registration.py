@@ -8,10 +8,9 @@ point-to-plane ICP augmented with a centroid alignment term
 without depth points is aligned by its centroids alone, and one without
 inlier pairs by its depth points alone.
 
-ICP's frame normals are PCA normals (estimate_normals). A rendered frame's
-cloud is organised by the sensor's pixel grid, and its normals come from
-each point's 3x3 pixel window, as is usual for organised depth; an
-unorganised cloud falls back to a k-d tree and k nearest neighbours.
+ICP's frame normals are PCA normals (estimate_normals). A frame's depth
+cloud is organised by its sensor's pixel grid, and its normals come from
+each point's 3x3 pixel window, as is usual for organised depth.
 
 All solvers share one local parameterisation: a 6-vector delta = (dtheta, dt)
 applied multiplicatively on the left, T' = (exp([dtheta]x), dt) ∘ T.
@@ -47,7 +46,6 @@ ICP_D_MAX_END = 0.05
 ICP_STEP_TOL_RAD = 5e-4
 ICP_STEP_TOL_M = 5e-4
 ICP_NORMAL_ANGLE_DEG = 45.0
-ICP_PCA_NEIGHBORS = 16
 ICP_MAX_POINTS = 20000
 # ICP diverged when its final cost exceeds the initial one by more than
 # rounding: a relative margin, plus a floor in m^2 (1 um of residual) for the
@@ -368,16 +366,15 @@ def _lattice_windows(pts, sensor):
                     axis=1)
 
 
-def estimate_normals(points, sensor=None):
-    """Unoriented per-point normals by PCA over each point's neighbourhood.
+def estimate_normals(points, sensor):
+    """Unoriented per-point normals by PCA over each point's 3x3 pixel window.
 
-    With a sensor, the points form an organised cloud of that sensor's pixel
-    grid (SensorParams.lattice_index), and a point's neighbourhood is the
-    points of its 3x3 pixel window, itself included. A point with fewer than
-    three neighbours in its window gets surface variation inf, so it fails
-    any planar gate: three points fit a plane exactly however noisy they
-    are, and fewer fit none. Without a sensor, the neighbourhood is the
-    ICP_PCA_NEIGHBORS nearest points, found with a k-d tree.
+    The points form an organised cloud of the sensor's pixel grid
+    (SensorParams.lattice_index), and a point's neighbourhood is the points
+    of its 3x3 pixel window, itself included. A point with fewer than three
+    neighbours in its window gets surface variation inf, so it fails any
+    planar gate: three points fit a plane exactly however noisy they are,
+    and fewer fit none.
 
     Returns (normals, surface_variation) where surface_variation is the
     smallest-eigenvalue fraction lambda_min / trace of each neighbourhood
@@ -385,34 +382,24 @@ def estimate_normals(points, sensor=None):
     an edge and the normal is meaningless.
     """
     pts = as_points(points, "points")
-    n = len(pts)
-    if sensor is not None:
-        idx = _lattice_windows(pts, sensor)
-        valid = idx >= 0
-        count = valid.sum(axis=1)
-        # one (N, 9) array per axis: window offsets from the window's own
-        # point, 0 at empty pixels; the index -1 of an empty pixel picks the
-        # appended 0. The scatter is sum y y^T - count m m^T, with m the mean
-        # offset: offsets are centimetres, so little cancels.
-        cols = np.vstack([pts, np.zeros((1, 3))]).T.copy()
-        y = [(c[idx] - c[:-1, None]) * valid for c in cols]
-        m = [yi.sum(axis=1) / count for yi in y]
-        cov = np.empty((n, 3, 3))
-        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-            cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", y[i], y[j]) - count * m[i] * m[j]
-    elif n < 3:
-        return np.tile([0.0, 0.0, 1.0], (n, 1)), np.zeros(n)
-    else:
-        idx = KDTreeIndex(pts).query_knn(pts, min(ICP_PCA_NEIGHBORS, n))
-        nbrs = pts[idx]
-        centered = nbrs - nbrs.mean(axis=1, keepdims=True)
-        cov = np.einsum("nki,nkj->nij", centered, centered)
+    idx = _lattice_windows(pts, sensor)
+    valid = idx >= 0
+    count = valid.sum(axis=1)
+    # one (N, 9) array per axis: window offsets from the window's own point,
+    # 0 at empty pixels; the index -1 of an empty pixel picks the appended 0.
+    # The scatter is sum y y^T - count m m^T, with m the mean offset: offsets
+    # are centimetres, so little cancels.
+    cols = np.vstack([pts, np.zeros((1, 3))]).T.copy()
+    y = [(c[idx] - c[:-1, None]) * valid for c in cols]
+    m = [yi.sum(axis=1) / count for yi in y]
+    cov = np.empty((len(pts), 3, 3))
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        cov[:, i, j] = cov[:, j, i] = np.einsum("nk,nk->n", y[i], y[j]) - count * m[i] * m[j]
     normals = _cardano_smallest_eigvec(cov)
     trace = cov[:, 0, 0] + cov[:, 1, 1] + cov[:, 2, 2]
     lam_min = np.einsum("ni,nij,nj->n", normals, cov, normals)
     variation = np.maximum(lam_min, 0.0) / np.maximum(trace, 1e-300)
-    if sensor is not None:
-        variation[count < 4] = np.inf
+    variation[count < 4] = np.inf
     return normals, variation
 
 
@@ -438,17 +425,6 @@ def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target):
     return h, b, plane_cost + cent_cost
 
 
-def icp_assign(frame_points, surface, pose, d_max=ICP_D_MAX_END):
-    """Nearest-neighbour assignment at pose, gated by distance only.
-
-    Returns (kept frame points in camera frame, map points, map normals).
-    """
-    pts = as_points(frame_points, "frame_points")
-    _, idx = surface.nearest(pose.apply(pts), upper_bound=d_max)
-    keep = idx >= 0
-    return pts[keep], surface.points[idx[keep]], surface.normals[idx[keep]]
-
-
 def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose):
     """Combined ICP cost and local-chart gradient at pose for a FIXED
     correspondence assignment. Oracle hook for finite-difference checks."""
@@ -460,8 +436,8 @@ def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose):
     return cost, -2.0 * b
 
 
-def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_MAX_POINTS,
-                       sensor=None):
+def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_MAX_POINTS, *,
+                       sensor):
     """Point-to-plane ICP with an added centroid-alignment term.
 
     Minimises  sum_L (n^T (p_map - v(p, T)))^2 + sum_D ||u_map - v(u, T)||^2
@@ -471,12 +447,11 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
     ICP_NORMAL_ANGLE_DEG compatibility test between the frame-point normal
     and the map normal. Both sums are raw and unweighted.
 
-    Frame normals come from estimate_normals: from each point's 3x3 pixel
-    window when sensor is given (the cloud must be organised for it), from
-    its ICP_PCA_NEIGHBORS nearest points otherwise. They are computed on the
-    full cloud first; a cloud of more than max_points points is then
-    subsampled evenly, so a subsampled point keeps the normal of its full
-    neighbourhood.
+    frame_points is an organised cloud of sensor's pixel grid, and frame
+    normals come from each point's 3x3 pixel window (estimate_normals). They
+    are computed on the full cloud first; a cloud of more than max_points
+    points is then subsampled evenly, so a subsampled point keeps the normal
+    of its full window.
 
     The stop test is on the pose step: an update whose rotation part is
     shorter than ICP_STEP_TOL_RAD and whose translation part is shorter than
@@ -498,8 +473,13 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
             sel = np.linspace(0, len(pts) - 1, max_points).astype(np.int64)
             pts, frame_normals, variation = pts[sel], frame_normals[sel], variation[sel]
         # a normal from a patch that straddles an edge is meaningless, so the
-        # 45-degree compatibility test cannot be trusted there; require the
-        # patch to be planar relative to the cloud's own noise floor
+        # 45-degree compatibility test cannot be trusted there. The gate drops
+        # such patches on a noise-free frame (the exact config), where a
+        # planar window's variation is ~0; with isfinite alone, exact's worst
+        # error rises from 1e-15 m to 2.8 mm. At the shipped 5 mm depth noise,
+        # 50x the median variation exceeds 1/3, the largest finite variation,
+        # so the gate drops only the windows of fewer than four points
+        # (variation inf); it acts again at lower noise (2 mm).
         planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
         planar = np.flatnonzero(variation <= planar_gate)
     cos_gate = np.cos(np.deg2rad(ICP_NORMAL_ANGLE_DEG))

@@ -214,6 +214,12 @@ class TestOrganisedCloud:
         assert np.all(noisy.depth_points[:, 2] > 0.0)
         assert 0 < len(noisy.depth_points) < len(clean.depth_points)
 
-    def test_cloud_without_sensor_is_not_checked(self, frames):
+    def test_cloud_is_checked_against_the_default_sensor(self, frames):
         pts = np.vstack([frames[0].depth_points, frames[0].depth_points[:3]])
-        assert FrameDetections(0, [], pts).sensor is None
+        assert frames[0].sensor is DEFAULT_SENSOR
+        with pytest.raises(ValueError, match="depth_points: two points share a pixel"):
+            FrameDetections(0, [], pts)
+
+    def test_missing_sensor_rejected(self):
+        with pytest.raises(ValueError, match="sensor: expected SensorParams, got None"):
+            FrameDetections(0, [], np.zeros((0, 3)), sensor=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from objreloc import pipeline, registration
+from objreloc import pipeline
 from objreloc.detections import FrameDetections, NoiseParams, simulate_detections
 from objreloc.errors import ConfigError, MissingGroundTruth
 from objreloc.geometry import RigidTransform, rotation_angle_between
@@ -90,7 +90,7 @@ class TestRelocalise:
         scene, sensor, obj_map, surface = zero_noise_setup
         pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=90.0))[0]
         frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 900, sensor)
-        frame = FrameDetections(900, frame.objects[:2], frame.depth_points, None)
+        frame = FrameDetections(900, frame.objects[:2], frame.depth_points, None, sensor=sensor)
         res = relocalise(frame, obj_map, surface)
         assert res.status == "failed" and res.reason == "TooFewObjects"
         assert res.pose_final is None
@@ -131,26 +131,6 @@ class TestRelocalise:
         assert ao_only.status == "success"
         assert (ao_only.icp_iterations, ao_only.icp_converged, ao_only.icp_diverged) == (
             0, False, False)
-
-    def test_frame_without_sensor_takes_the_kd_path(self, zero_noise_setup, monkeypatch):
-        scene, sensor, obj_map, surface = zero_noise_setup
-        seen = []
-        real_normals = registration.estimate_normals
-
-        def recording_normals(points, sensor=None):
-            seen.append(sensor)
-            return real_normals(points, sensor)
-
-        monkeypatch.setattr(registration, "estimate_normals", recording_normals)
-        pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=150.0))[0]
-        frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 906, sensor)
-        rebuilt = FrameDetections(906, frame.objects, frame.depth_points, None)
-        for f, want in ((frame, sensor), (rebuilt, None)):
-            seen.clear()
-            res = relocalise(f, obj_map, surface)
-            assert seen == [want]
-            assert res.status == "success" and res.icp_iterations >= 1
-            assert np.linalg.norm(res.pose_final.translation - pose.translation) < 1e-6
 
     def test_diverged_icp_falls_back_to_ao_pose(self, zero_noise_setup, monkeypatch):
         scene, sensor, obj_map, surface = zero_noise_setup

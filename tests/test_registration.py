@@ -3,7 +3,7 @@ import pytest
 
 from objreloc.errors import CollinearPoints, NoConsensus, NoCorrespondences, TooFewPairs
 from objreloc.geometry import RigidTransform, compose, rotation_angle_between, rotation_from_axis_angle
-from objreloc import registration
+from objreloc import registration, scene
 from objreloc.oracles import (
     coordinate_descent_ao,
     exhaustive_ransac_triples,
@@ -23,12 +23,12 @@ from objreloc.registration import (
     depth_centroid_icp,
     estimate_normals,
     horn_ao,
-    icp_assign,
     icp_cost_and_gradient,
     probabilistic_ao,
     ransac_ao,
 )
-from objreloc.scene import DEFAULT_SENSOR, generate_scene, look_at, render_depth_points
+from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, generate_scene, look_at,
+                            render_depth_points)
 
 
 def make_pairs(frame_pts, map_pts, covs=None):
@@ -243,92 +243,63 @@ class TestRansacAO:
         assert np.array_equal(r1.pose.translation, r2.pose.translation)
 
 
-def plane_surface(half=1.0, step=0.02, z=0.0):
-    g = np.arange(-half, half + step / 2, step)
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)])
-    nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
-    return pts, nrm
+# the desk's two boxes, as (centre, half extents); both stand on the ground
+DESK_BOXES = (((0.3, 0.2, 0.05), (0.08, 0.06, 0.05)), ((-0.4, -0.1, 0.08), (0.1, 0.07, 0.08)))
+# a camera 0.9 m above the ground, looking down at the desk
+DESK_VIEW = RigidTransform(rotation_from_axis_angle([1, 0.1, 0.05], 150.0), [0.1, 0.6, 0.9])
 
 
-def box_patch(center, half_extents, step=0.02):
-    """Top + two side faces of an axis-aligned box, with outward normals."""
-    cx, cy, cz = center
-    ex, ey, ez = half_extents
-    pts, nrm = [], []
-    gx = np.arange(-ex, ex + step / 2, step)
-    gy = np.arange(-ey, ey + step / 2, step)
-    gz = np.arange(-ez, ez + step / 2, step)
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    pts.append(np.column_stack([xx.ravel() + cx, yy.ravel() + cy, np.full(xx.size, cz + ez)]))
-    nrm.append(np.tile([0, 0, 1.0], (xx.size, 1)))
-    yy2, zz2 = np.meshgrid(gy, gz, indexing="ij")
-    pts.append(np.column_stack([np.full(yy2.size, cx + ex), yy2.ravel() + cy, zz2.ravel() + cz]))
-    nrm.append(np.tile([1.0, 0, 0], (yy2.size, 1)))
-    xx3, zz3 = np.meshgrid(gx, gz, indexing="ij")
-    pts.append(np.column_stack([xx3.ravel() + cx, np.full(xx3.size, cy + ey), zz3.ravel() + cz]))
-    nrm.append(np.tile([0, 1.0, 0], (xx3.size, 1)))
-    return np.vstack(pts), np.vstack(nrm)
-
-
-def desk_surface():
-    pts, nrm = plane_surface()
-    for c, e in [((0.3, 0.2, 0.05), (0.08, 0.06, 0.05)), ((-0.4, -0.1, 0.08), (0.1, 0.07, 0.08))]:
-        p2, n2 = box_patch(c, e)
-        pts = np.vstack([pts, p2])
-        nrm = np.vstack([nrm, n2])
-    return SurfaceModel(pts, nrm)
+def rendered_desk(pose, boxes=DESK_BOXES):
+    """A noise-free organised frame of the desk seen from pose, and the surface
+    model it samples exactly: the same points in world, with their normals."""
+    desk = Scene(tuple(SceneObject("laptop", RigidTransform(np.eye(3), c), e) for c, e in boxes))
+    pts_cam, nrm = scene._render(desk, pose, DEFAULT_SENSOR, 0.0, np.random.default_rng(0))
+    return pts_cam, SurfaceModel(pose.apply(pts_cam), nrm)
 
 
 class TestDepthCentroidICP:
     def test_fixed_point_on_exact_samples(self):
-        surface = desk_surface()
-        gt = RigidTransform(rotation_from_axis_angle([0.2, 1, 0.1], 30.0), [0.1, -0.2, 0.9])
-        cam_from_world = gt.inverse()
-        frame_pts = surface.points[::3] @ cam_from_world.rotation.T + cam_from_world.translation
+        gt = DESK_VIEW
+        frame_pts, surface = rendered_desk(gt)
         cents_w = np.array([[0.3, 0.2, 0.05], [-0.4, -0.1, 0.08], [0.0, 0.5, 0.0]])
-        cents_f = cents_w @ cam_from_world.rotation.T + cam_from_world.translation
+        cents_f = gt.inverse().apply(cents_w)
         pairs = make_pairs(cents_f, cents_w, [np.eye(3) * 1e-4] * 3)
-        res = depth_centroid_icp(frame_pts, surface, pairs, gt)
+        res = depth_centroid_icp(frame_pts, surface, pairs, gt, sensor=DEFAULT_SENSOR)
         terr, rerr = pose_error(res.pose, gt)
         assert terr < 1e-9 and rerr < 1e-9
         assert res.final_cost < 1e-12
         assert not res.diverged
 
     def test_recovers_displaced_init(self):
-        surface = desk_surface()
-        gt = RigidTransform(rotation_from_axis_angle([0, 1, 0], 25.0), [0.05, 0.1, 1.0])
-        cam_from_world = gt.inverse()
-        frame_pts = surface.points[::2] @ cam_from_world.rotation.T + cam_from_world.translation
+        gt = RigidTransform(rotation_from_axis_angle([1, 0, 0.1], 155.0), [0.05, 0.5, 1.0])
+        frame_pts, surface = rendered_desk(gt)
         cents_w = np.array([[0.3, 0.2, 0.05], [-0.4, -0.1, 0.08], [0.5, -0.5, 0.0]])
-        cents_f = cents_w @ cam_from_world.rotation.T + cam_from_world.translation
+        cents_f = gt.inverse().apply(cents_w)
         pairs = make_pairs(cents_f, cents_w, [np.eye(3) * 1e-4] * 3)
         init = compose(RigidTransform(rotation_from_axis_angle([0, 0, 1], 3.0), [0.03, -0.02, 0.01]), gt)
-        res = depth_centroid_icp(frame_pts, surface, pairs, init)
+        res = depth_centroid_icp(frame_pts, surface, pairs, init, sensor=DEFAULT_SENSOR)
         terr, rerr = pose_error(res.pose, gt)
         assert terr < 2e-3 and rerr < 0.2
 
     def test_w1_zero_matches_probabilistic_ao(self):
         rng = np.random.default_rng(12)
-        surface = desk_surface()
+        _, surface = rendered_desk(DESK_VIEW)
         gt = random_pose(rng, t_span=0.3)
         frame_pts = rng.uniform(-0.5, 0.5, (50, 3))
         cents_f = rng.uniform(-0.8, 0.8, (5, 3))
         cents_w = cents_f @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, (5, 3))
         pairs = make_pairs(cents_f, cents_w)
         init = horn_ao(pairs)
-        icp = depth_centroid_icp(np.zeros((0, 3)), surface, pairs, init)
+        icp = depth_centroid_icp(np.zeros((0, 3)), surface, pairs, init, sensor=DEFAULT_SENSOR)
         ao = probabilistic_ao(pairs, init)
         terr, rerr = pose_error(icp.pose, ao.pose)
         assert terr < 1e-6
 
     def test_planar_null_space_and_centroid_fix(self):
-        pts, nrm = plane_surface()
-        surface = SurfaceModel(pts, nrm)
-        gt = RigidTransform.identity()
-        frame_pts = pts[::2]
+        gt = DESK_VIEW
+        frame_pts, surface = rendered_desk(gt, boxes=())
         # without centroids: normal equations over a single plane are rank 3
-        y = frame_pts
+        y = gt.apply(frame_pts)
         h, _, _ = _icp_system(
             y, surface.points[surface.nearest(y)[1]], surface.normals[surface.nearest(y)[1]],
             np.zeros((0, 3)), np.zeros((0, 3)),
@@ -336,33 +307,38 @@ class TestDepthCentroidICP:
         assert np.sum(np.linalg.eigvalsh(h) > 1e-8 * np.linalg.eigvalsh(h).max()) == 3
         # in-plane displacement is invisible to the plane term and fixed by
         # the centroid term
-        init = RigidTransform(rotation_from_axis_angle([0, 0, 1], 2.0), [0.04, -0.03, 0.0])
-        res0 = depth_centroid_icp(frame_pts, surface, [], init)
+        init = compose(RigidTransform(rotation_from_axis_angle([0, 0, 1], 2.0), [0.04, -0.03, 0.0]), gt)
+        res0 = depth_centroid_icp(frame_pts, surface, [], init, sensor=DEFAULT_SENSOR)
         terr0, rerr0 = pose_error(res0.pose, gt)
         assert terr0 > 0.01  # still displaced in the plane
-        cents_f = np.array([[0.5, 0.0, 0.0], [-0.3, 0.4, 0.0], [0.1, -0.6, 0.0]])
-        pairs = make_pairs(cents_f, cents_f, [np.eye(3) * 1e-4] * 3)
-        res1 = depth_centroid_icp(frame_pts, surface, pairs, init)
+        cents_w = np.array([[0.5, 0.0, 0.0], [-0.3, 0.4, 0.0], [0.1, -0.6, 0.0]])
+        pairs = make_pairs(gt.inverse().apply(cents_w), cents_w, [np.eye(3) * 1e-4] * 3)
+        res1 = depth_centroid_icp(frame_pts, surface, pairs, init, sensor=DEFAULT_SENSOR)
         terr1, rerr1 = pose_error(res1.pose, gt)
         assert terr1 < 1e-4 and rerr1 < 0.01
 
     def test_no_correspondences(self):
-        pts, nrm = plane_surface(half=0.3)
-        surface = SurfaceModel(pts, nrm)
-        frame_pts = np.array([[5.0, 5.0, 5.0], [5.1, 5.0, 5.0], [5.0, 5.1, 5.0], [5.2, 5.1, 5.0]])
+        _, surface = rendered_desk(DESK_VIEW)
+        # a 2x2 pixel block 5 m away, far from every surface point
+        f, cx, cy = DEFAULT_SENSOR.pinhole
+        u, v = np.meshgrid([80, 81], [60, 61], indexing="ij")
+        frame_pts = 5.0 * np.column_stack([(u.ravel() - cx) / f, (v.ravel() - cy) / f, np.ones(4)])
         with pytest.raises(NoCorrespondences):
-            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity())
+            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(),
+                               sensor=DEFAULT_SENSOR)
 
     def test_icp_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
-        surface = desk_surface()
+        _, surface = rendered_desk(DESK_VIEW)
         for _ in range(10):
             pose = RigidTransform(
                 rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 5)),
                 rng.normal(0, 0.02, 3),
             )
             raw = surface.points[rng.choice(len(surface.points), 200)] + rng.normal(0, 0.01, (200, 3))
-            fp, mp, mn = icp_assign(raw, surface, pose, d_max=0.1)
+            _, idx = surface.nearest(pose.apply(raw), upper_bound=0.1)
+            keep = idx >= 0
+            fp, mp, mn = raw[keep], surface.points[idx[keep]], surface.normals[idx[keep]]
             cents_f = rng.uniform(-0.5, 0.5, (4, 3))
             cents_m = cents_f + rng.normal(0, 0.05, (4, 3))
             pairs = make_pairs(cents_f, cents_m)
@@ -377,32 +353,6 @@ class TestDepthCentroidICP:
             fd = numerical_gradient(cost_fn)
             scale = max(np.linalg.norm(fd), 1.0)
             assert np.abs(grad - fd).max() / scale < 1e-5
-
-
-class TestNormals:
-    def test_plane_normals(self):
-        pts, _ = plane_surface(half=0.3)
-        n, variation = estimate_normals(pts)
-        assert np.abs(np.abs(n[:, 2]) - 1.0).max() < 1e-9
-        assert variation.max() < 1e-12
-
-    def test_edge_patches_flagged_nonplanar(self):
-        pts, _ = plane_surface(half=0.2)
-        wall = np.column_stack([
-            np.full(40, 0.0), np.repeat(np.linspace(-0.2, 0.2, 8), 5),
-            np.tile(np.linspace(0.02, 0.1, 5), 8),
-        ])
-        cloud = np.vstack([pts, wall])
-        _, variation = estimate_normals(cloud)
-        near_edge = variation[len(pts):]
-        assert near_edge.max() > 100 * np.median(variation)
-
-    def test_cardano_matches_eigh(self):
-        rng = np.random.default_rng(14)
-        pts = rng.uniform(-1, 1, (500, 3))
-        pts[:, 2] *= 0.05
-        n, _ = estimate_normals(pts)
-        assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-9)
 
 
 def noisy_rendered_cloud(keep):
@@ -422,7 +372,7 @@ class TestLatticeNormals:
     @pytest.mark.parametrize("keep", [1.0, 0.5])
     def test_matches_every_point_oracle(self, keep, monkeypatch):
         pts = noisy_rendered_cloud(keep)
-        monkeypatch.setattr(registration, "KDTreeIndex", None)  # the lattice path builds no tree
+        monkeypatch.setattr(registration, "KDTreeIndex", None)  # normals build no tree
         normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
         want_n, want_v = lattice_normals_every_point(pts, DEFAULT_SENSOR)
         defined = np.isfinite(want_v)
@@ -469,6 +419,24 @@ class TestLatticeNormals:
         normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
         assert np.abs(np.abs(normals[:, 2]) - 1.0).max() < 1e-9
         assert variation.max() < 1e-12
+
+    def test_edge_patches_flagged_nonplanar(self):
+        # a noise-free box on the ground, seen from above: the windows that
+        # straddle its depth edge hold box points and ground points centimetres
+        # deeper, and ICP's planar gate must drop them
+        pose = RigidTransform(rotation_from_axis_angle([1, 0, 0], 150.0), [0.0, 0.6, 0.9])
+        pts, _ = rendered_desk(pose, boxes=(((0.0, 0.0, 0.1), (0.1, 0.1, 0.1)),))
+        _, variation = estimate_normals(pts, DEFAULT_SENSOR)
+        windows = registration._lattice_windows(pts, DEFAULT_SENSOR)
+        on_box = np.append(pose.apply(pts)[:, 2] > 1e-9, False)
+        ground = np.append(~on_box[:-1], False)
+        depth = np.where(windows >= 0, pts[windows, 2], np.nan)
+        straddle = (on_box[windows].any(axis=1) & ground[windows].any(axis=1)
+                    & (np.nanmax(depth, axis=1) - np.nanmin(depth, axis=1) > 0.05))
+        assert straddle.sum() > 50
+        planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
+        assert np.all(variation[straddle] > 100 * np.median(variation))
+        assert np.all(variation[straddle] > planar_gate)
 
 
 class TestSurfaceModel:
