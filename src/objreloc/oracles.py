@@ -6,9 +6,14 @@ possible with the implementation it checks. The test suite runs these.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 
+from .errors import CollinearPoints, NoConsensus
+from .geometry import RigidTransform, nearest_rotation
+from .registration import (RANSAC_INLIER_M, RANSAC_MAX_ITERS, _check_not_collinear, _fit_rigid,
+                           probabilistic_ao)
 from .scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder, _intersect_ground,
                     _ray_dirs)
 
@@ -235,6 +240,50 @@ def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):
     if best is None:
         return ()
     return best[1]
+
+
+def ransac_triple_loop(pairs, seed):
+    """ransac_ao as a loop that fits and scores one triple at a time.
+
+    Same triples in the same order, the same per-triple fit (_fit_rigid) and
+    the same probabilistic_ao refit; what it checks is ransac_ao's batched
+    scoring and selection. A triple wins when its (inlier count, minus summed
+    inlier residual) is strictly greater than every earlier triple's.
+    Returns (inlier indices, pose); raises NoConsensus as ransac_ao does.
+    """
+    n = len(pairs)
+    f = np.array([p.frame_point for p in pairs])
+    m = np.array([p.map_mean for p in pairs])
+    if comb(n, 3) <= RANSAC_MAX_ITERS:
+        triples = itertools.combinations(range(n), 3)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
+        triples = (sorted(rng.choice(n, size=3, replace=False)) for _ in range(RANSAC_MAX_ITERS))
+
+    best_score = None
+    best_inliers = None
+    best_pose = None
+    for triple in triples:
+        sub = list(triple)
+        try:
+            _check_not_collinear(f[sub])
+        except CollinearPoints:
+            continue
+        rot, t = _fit_rigid(f[sub], m[sub])
+        resid = np.linalg.norm(m - (f @ rot.T + t), axis=1)
+        mask = resid < RANSAC_INLIER_M
+        count = int(np.count_nonzero(mask))
+        score = (count, -float(resid[mask].sum()))
+        if best_score is None or score > best_score:
+            best_score = score
+            best_inliers = np.flatnonzero(mask)
+            best_pose = RigidTransform(nearest_rotation(rot), t)
+    if best_score is None or best_score[0] < 3:
+        raise NoConsensus(
+            f"best hypothesis has {0 if best_score is None else best_score[0]} inliers"
+        )
+    result = probabilistic_ao([pairs[i] for i in best_inliers], best_pose)
+    return tuple(int(i) for i in best_inliers), result.pose
 
 
 def lattice_normals_every_point(points, sensor):

@@ -63,6 +63,8 @@ class RelocResult:
     icp_iterations: int = 0
     icp_converged: bool = False
     icp_diverged: bool = False
+    # the hypotheses RANSAC scored, left 0 when it returned no pose
+    ransac_hypotheses: int = 0
 
     def __post_init__(self):
         if self.status == "success" and (
@@ -181,6 +183,7 @@ def relocalise(frame, obj_map, surface, params=None):
         icp_iterations=icp.iterations if icp else 0,
         icp_converged=icp.converged if icp else False,
         icp_diverged=icp.diverged if icp else False,
+        ransac_hypotheses=ao.ransac_hypotheses,
     )
 
 

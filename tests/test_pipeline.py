@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,21 @@ class TestRelocalise:
         assert ao_only.status == "success"
         assert (ao_only.icp_iterations, ao_only.icp_converged, ao_only.icp_diverged) == (
             0, False, False)
+
+    def test_ransac_hypotheses_reported(self, zero_noise_setup):
+        scene, sensor, obj_map, surface = zero_noise_setup
+        pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=150.0))[0]
+        frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 906, sensor)
+        with_icp = relocalise(frame, obj_map, surface)
+        ao_only = relocalise(frame, obj_map, surface, RelocParams(use_icp=False))
+        n = with_icp.correspondences_used
+        assert with_icp.status == ao_only.status == "success" and n >= 4
+        # no three of the desk's object centroids are collinear
+        assert with_icp.ransac_hypotheses == ao_only.ransac_hypotheses == comb(n, 3)
+        report = evaluate([with_icp], {906: pose}).canonical_json(include_timing=True)
+        assert "ransac_hypotheses" not in report
+        two = FrameDetections(906, frame.objects[:2], frame.depth_points, None, sensor=sensor)
+        assert relocalise(two, obj_map, surface).ransac_hypotheses == 0
 
     def test_diverged_icp_falls_back_to_ao_pose(self, zero_noise_setup, monkeypatch):
         scene, sensor, obj_map, surface = zero_noise_setup

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from objreloc.oracles import (
     exhaustive_ransac_triples,
     lattice_normals_every_point,
     numerical_gradient,
+    ransac_triple_loop,
     weighted_ao_cost,
 )
 from objreloc.registration import (
     RANSAC_INLIER_M,
+    RANSAC_MAX_ITERS,
     RegistrationResult,
     SurfaceModel,
     WeightedPair,
@@ -241,6 +245,67 @@ class TestRansacAO:
         assert r1.inliers == r2.inliers
         assert np.array_equal(r1.pose.rotation, r2.pose.rotation)
         assert np.array_equal(r1.pose.translation, r2.pose.translation)
+
+    def test_all_collinear_is_no_consensus(self):
+        frame_pts = np.outer(np.arange(5.0), [0.3, -0.2, 0.1]) + [0.5, 0.2, 1.5]
+        map_pts = np.random.default_rng(12).uniform(-1, 1, (5, 3))
+        with pytest.raises(NoConsensus, match="best hypothesis has 0 inliers"):
+            ransac_ao(make_pairs(frame_pts, map_pts))
+
+    @pytest.mark.parametrize("n", [*range(3, 16), 16, 20])
+    def test_batched_matches_triple_loop(self, n):
+        assert (comb(n, 3) <= RANSAC_MAX_ITERS) == (n <= 15)
+        rng = np.random.default_rng(100 + n)
+        for case, frame_pts, map_pts in ransac_cases(n, rng):
+            pairs = make_pairs(frame_pts, map_pts)
+            for seed in (0, n):
+                try:
+                    inliers, pose = ransac_triple_loop(pairs, seed)
+                except NoConsensus as exc:
+                    with pytest.raises(NoConsensus, match=f"^{exc}$"):
+                        ransac_ao(pairs, seed)
+                    continue
+                res = ransac_ao(pairs, seed)
+                assert res.inliers == inliers, case
+                assert np.array_equal(res.pose.rotation, pose.rotation), case
+                assert np.array_equal(res.pose.translation, pose.translation), case
+            if case == "collinear" and 8 <= n <= 15:
+                # every triple but those of the five points on the line
+                assert res.ransac_hypotheses == comb(n, 3) - comb(5, 3)
+
+
+def ransac_cases(n, rng):
+    """(case, frame points, map means) of n pairs that stress ransac_ao's choice.
+
+    outliers: 1 cm noise with a third of the map means moved 0.3-1 m away.
+    collinear: the first min(n, 5) frame points on one line, and the last
+    three map means on another, so that some triples are skipped and some
+    fit a rotation about a line that only rounding sets.
+    zero-noise: every triple fits every pair, so in exact arithmetic every
+    summed residual is 0 and the choice among them is made by rounding.
+    at-gate: zero-noise with one map mean moved by RANSAC_INLIER_M, so that
+    rounding sets which side of the inlier gate that pair falls on.
+    """
+    gt = random_pose(rng)
+    frame_pts = rng.uniform(-1, 1, (n, 3)) + [0.0, 0.0, 2.0]
+    exact = frame_pts @ gt.rotation.T + gt.translation
+    noisy = exact + rng.normal(0, 0.01, (n, 3))
+    moved = noisy.copy()
+    k = max(1, n // 3)
+    moved[:k] += rng.uniform(0.3, 1.0, (k, 3)) * rng.choice([-1.0, 1.0], (k, 3))
+    yield "outliers", frame_pts, moved
+    line = frame_pts.copy()
+    c = min(n, 5)
+    line[:c] = frame_pts[0] + np.outer(rng.uniform(-1, 1, c), rng.normal(size=3))
+    line_map = line @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, (n, 3))
+    if n >= 6:
+        line_map[-3:] = line_map[-3] + np.outer([0.0, 0.05, 0.1], rng.normal(size=3))
+    yield "collinear", line, line_map
+    yield "zero-noise", frame_pts, exact
+    at_gate = exact.copy()
+    direction = rng.normal(size=3)
+    at_gate[n // 2] += RANSAC_INLIER_M * direction / np.linalg.norm(direction)
+    yield "at-gate", frame_pts, at_gate
 
 
 # the desk's two boxes, as (centre, half extents); both stand on the ground
