@@ -152,7 +152,7 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
         if do_confuse:
             others = [c for c in CATEGORIES if c != obj.label]
             label = others[wrong]
-        box = OrientedBox.create(
+        box = OrientedBox(
             cam_from_world.apply(centroid_w), cam_from_world.rotation @ rot_w, extents
         )
         detections.append(DetectedObject(label, box, confidence=1.0))
@@ -166,7 +166,7 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
         y = rng.uniform(-tan_v, tan_v) * depth
         extents = rng.uniform(0.015, 0.05, 3)
         orient = rotation_from_axis_angle(_random_unit(rng), rng.uniform(0.0, 180.0))
-        box = OrientedBox.create(np.array([x, y, depth]), orient, extents)
+        box = OrientedBox(np.array([x, y, depth]), orient, extents)
         detections.append(DetectedObject(label, box, confidence=0.5))
     depth_points = render_depth_points(
         scene, world_from_cam, sensor, sigma_depth=params.sigma_depth, rng=rng

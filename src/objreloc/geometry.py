@@ -143,17 +143,18 @@ def rotation_mean(rotations):
 
 @dataclass(frozen=True, slots=True)
 class OrientedBox:
-    """3D bounding box: centroid, orientation, per-axis half-lengths and scalar scale.
+    """3D bounding box: centroid, orientation and per-axis half-lengths.
 
-    scale is the cube root of the box volume, stored redundantly because the
-    correspondence matcher scores boxes by a single scalar size. Slots, not
-    an instance dict: a map build holds thousands of boxes.
+    scale, the cube root of the box volume, is derived from the extents on
+    construction and is not an argument, so a box cannot disagree with its
+    own size; the correspondence matcher scores boxes by this one scalar.
+    Slots, not an instance dict: a map build holds thousands of boxes.
     """
 
     centroid: np.ndarray
     orientation: np.ndarray
     extents: np.ndarray
-    scale: float
+    scale: float = field(init=False)
     _bounds: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,13 +164,7 @@ class OrientedBox:
         if np.any(e <= 0.0):
             raise ValueError(f"extents: must be positive, got {e}")
         object.__setattr__(self, "extents", e)
-        object.__setattr__(self, "scale", float(self.scale))
-
-    @staticmethod
-    def create(centroid, orientation, extents):
-        """Build a box computing scale = (8 * ex * ey * ez)^(1/3)."""
-        e = as_vector3(extents, "extents")
-        return OrientedBox(centroid, orientation, e, float(np.cbrt(8.0 * np.prod(e))))
+        object.__setattr__(self, "scale", float(np.cbrt(8.0 * np.prod(e))))
 
     @property
     def volume(self):
@@ -188,10 +183,10 @@ class OrientedBox:
             object.__setattr__(self, "_bounds", bounds)
         return self._bounds[0], self._bounds[1]
 
-    def contains(self, points, tol=_CONTAINS_TOL):
+    def contains(self, points):
         """Boolean mask: which of the (N, 3) points lie inside the box."""
         q = (np.atleast_2d(points) - self.centroid) @ self.orientation
-        return np.all(np.abs(q) <= self.extents + tol, axis=1)
+        return np.all(np.abs(q) <= self.extents + _CONTAINS_TOL, axis=1)
 
 
 def _lattice_count(b1, b2):

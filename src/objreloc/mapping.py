@@ -4,7 +4,9 @@ Key frames contribute detections that are associated to map objects by
 label-gated IoU, then routed to one of the object's box configurations by a
 chi-squared test on the squared Mahalanobis distance of the new centroid:
 no gate passes -> new configuration; one or more pass -> those configurations
-are pooled with the detection into one.
+are pooled with the detection into one. A configuration is the list of the
+detected world-frame boxes assigned to it, and its Gaussian centroid and mean
+box are derived from that list.
 
 Finalisation first discards objects that are not re-observed in enough of the
 key frames expected to see them. It then folds duplicates into their object:
@@ -21,7 +23,6 @@ configurations are then ordered by sample count, so configurations[0] is its
 main mode.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ from .geometry import (
     mahalanobis_sq,
     rotation_mean,
 )
-from .scene import DEFAULT_SENSOR, in_frustum
+from .scene import in_frustum
 from .validation import as_real, check_integer, check_probability
 
 # inverse chi-squared(3) CDF at 1 - 0.001; the configuration gate
@@ -61,34 +62,31 @@ class FusionParams:
 
 
 class Configuration:
-    """One bounding-box mode of a map object.
+    """One bounding-box mode of a map object: the detected world-frame
+    OrientedBoxes assigned to it, in assignment order.
 
-    Holds the full list of assigned observations (centroids, orientations,
-    extents: the float64 arrays of detected OrientedBoxes), so that
-    configurations can be pooled into a new one; the mean box and Gaussian
-    centroid are computed from them on construction.
+    The Gaussian centroid, the chordal mean orientation and the mean extents
+    are computed from these observations on construction and make up the
+    mean box. A configuration is never changed once built: pooling builds a
+    new one from the pooled observations, so finalized maps can share
+    configurations with the map they came from.
 
     A finalized map orders each object's configurations by sample count,
     most first; ties keep founding order.
     """
 
-    def __init__(self, samples, orientations, extents_list):
-        self.samples = samples
-        self.orientations = orientations
-        self.extents_list = extents_list
-        self.centroid = GaussianCentroid.from_samples(np.array(self.samples))
+    def __init__(self, observations):
+        self.observations = observations
+        self.centroid = GaussianCentroid.from_samples(np.array([b.centroid for b in observations]))
+        orientations = [b.orientation for b in observations]
         try:
-            rot = rotation_mean(self.orientations)
+            rot = rotation_mean(orientations)
         except DegenerateRotations:
             # antipodal orientations (merged flip modes) have no chordal mean;
             # keep the founding observation's orientation
-            rot = self.orientations[0]
-        mean_extents = np.mean(np.stack(self.extents_list), axis=0)
-        self.box = OrientedBox.create(self.centroid.mean, rot, mean_extents)
-
-    @staticmethod
-    def from_detection(box):
-        return Configuration([box.centroid], [box.orientation], [box.extents])
+            rot = orientations[0]
+        mean_extents = np.mean(np.stack([b.extents for b in observations]), axis=0)
+        self.box = OrientedBox(self.centroid.mean, rot, mean_extents)
 
 
 @dataclass
@@ -158,18 +156,20 @@ def select_or_merge_configurations(obj, centroid, chi2_gate):
 
 
 def _world_box(box, pose):
-    return OrientedBox.create(
+    return OrientedBox(
         pose.apply(box.centroid), pose.rotation @ box.orientation, box.extents
     )
 
 
-def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
+def integrate_keyframe(obj_map, frame, pose):
     """Fuse one key frame's detections into the map (in place; returns the map).
 
-    pose is world-from-camera. Matched detections found or pool
+    pose is world-from-camera: the tracker's estimate of where the frame was
+    taken, not a detector output. Matched detections found or pool
     configurations; unmatched ones found new objects; every object whose mean
-    centroid falls in this frame's frustum gets an expected-view increment,
-    and matched objects record this key frame in detected_keyframes.
+    centroid falls in the frustum of the frame's own sensor gets an
+    expected-view increment, and matched objects record this key frame in
+    detected_keyframes.
     """
     if obj_map.finalized:
         raise ValueError("cannot integrate into a finalized map")
@@ -181,7 +181,7 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
         hit = associate_detection(obj_map, det_world)
         if hit is None:
             obj_map.objects.append(
-                MapObject(det.label, [Configuration.from_detection(world_box)])
+                MapObject(det.label, [Configuration([world_box])])
             )
             matched.add(len(obj_map.objects) - 1)
             continue
@@ -191,13 +191,10 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
             obj, world_box.centroid, obj_map.fusion_params.chi2_gate
         )
         if not passing:
-            obj.configurations.append(Configuration.from_detection(world_box))
+            obj.configurations.append(Configuration([world_box]))
         else:
-            pool = [obj.configurations[k] for k in passing]
             obj.configurations[passing[0]] = Configuration(
-                [s for c in pool for s in c.samples] + [world_box.centroid],
-                [r for c in pool for r in c.orientations] + [world_box.orientation],
-                [e for c in pool for e in c.extents_list] + [world_box.extents],
+                [b for k in passing for b in obj.configurations[k].observations] + [world_box]
             )
             for k in reversed(passing[1:]):
                 del obj.configurations[k]
@@ -208,7 +205,7 @@ def integrate_keyframe(obj_map, frame, pose, sensor=DEFAULT_SENSOR):
     for obj in obj_map.objects:
         # an object is "expected in view" when any configuration mean is visible
         visible = any(
-            in_frustum(cam_from_world.apply(cfg.centroid.mean), sensor)
+            in_frustum(cam_from_world.apply(cfg.centroid.mean), frame.sensor)
             for cfg in obj.configurations
         )
         if visible:
@@ -230,7 +227,7 @@ def _is_duplicate(host, obj):
     )
 
 
-def finalize_map(obj_map, total_keyframes):
+def finalize_map(obj_map):
     """Persistence filter, then duplicate folding. Returns a new finalized map.
 
     An object survives when update_count >= min_updates and update_count >=
@@ -241,15 +238,13 @@ def finalize_map(obj_map, total_keyframes):
     half-diagonals. A same-label object's configurations join the host's; a
     different-label object (a label confusion) adds only its detecting key
     frames. Each kept object's configurations are then ordered by sample
-    count, most first. The input map is left unmodified. A finalized map is
-    rejected.
+    count, most first. The input map is left unmodified: each kept object is
+    a new MapObject with its own configuration list and key-frame set, and
+    the configurations themselves, never changed once built, are shared. A
+    finalized map is rejected.
     """
     if obj_map.finalized:
         raise ValueError("cannot finalize a finalized map")
-    if obj_map.processed_keyframes > total_keyframes:
-        raise ValueError(
-            f"processed {obj_map.processed_keyframes} key frames > declared {total_keyframes}"
-        )
     params = obj_map.fusion_params
     survivors = [
         obj
@@ -257,15 +252,16 @@ def finalize_map(obj_map, total_keyframes):
         if obj.update_count >= params.min_updates
         and obj.update_count >= params.min_update_fraction * obj.expected_view_count
     ]
-    kept = {}  # survivor index -> copy; the finalized map keeps founding order
+    kept = {}  # survivor index -> new object; the finalized map keeps founding order
     for i in sorted(range(len(survivors)), key=lambda i: -survivors[i].update_count):
         obj = survivors[i]
         host = next((h for h in kept.values() if _is_duplicate(h, obj)), None)
         if host is None:
-            kept[i] = copy.deepcopy(obj)
+            kept[i] = MapObject(obj.label, list(obj.configurations), obj.expected_view_count,
+                                set(obj.detected_keyframes))
             continue
         if host.label == obj.label:
-            host.configurations.extend(copy.deepcopy(obj.configurations))
+            host.configurations.extend(obj.configurations)
         # the fold gate makes the two key-frame sets disjoint, so the host's
         # update count grows by the folded object's
         host.detected_keyframes |= obj.detected_keyframes

@@ -102,17 +102,19 @@ def build_map(frames, fusion=None, sensor=DEFAULT_SENSOR, scene=None, surface_si
     """Fuse posed key frames into a finalized object map (+ surface model).
 
     Every frame must carry camera_pose_gt; in simulation that pose stands in
-    for the SLAM tracker. The surface model is rendered from the same poses
-    and requires the scene; pass scene=None to skip it (AO-only pipelines).
+    for the SLAM tracker. Fusion judges visibility with each frame's own
+    sensor. sensor feeds only the surface model, which is rendered from the
+    same poses and requires the scene; pass scene=None to skip it (AO-only
+    pipelines).
     """
     obj_map = ObjectMap(fusion_params=fusion or FusionParams())
     poses = []
     for frame in frames:
         if frame.camera_pose_gt is None:
             raise ValueError(f"frame {frame.frame_id} has no pose; map construction needs poses")
-        integrate_keyframe(obj_map, frame, frame.camera_pose_gt, sensor)
+        integrate_keyframe(obj_map, frame, frame.camera_pose_gt)
         poses.append(frame.camera_pose_gt)
-    final = finalize_map(obj_map, len(poses))
+    final = finalize_map(obj_map)
     surface = None
     if scene is not None:
         surface = build_surface_model(scene, poses, sensor, surface_sigma_depth, surface_seed, voxel)

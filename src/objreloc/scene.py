@@ -184,11 +184,12 @@ def _pose_digest(pose):
     return int.from_bytes(h.digest(), "little")
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)):
+def look_at(eye, target):
     """World-from-camera pose with the camera's +z axis toward target.
 
-    Camera convention: x right, y down, z forward (right-handed). Falls back
-    to an x-axis up vector when the view direction is parallel to up.
+    Camera convention: x right, y down, z forward (right-handed). The up
+    vector is world +z; it falls back to +x when the view direction is
+    parallel to it.
     """
     eye = as_vector3(eye, "eye")
     target = as_vector3(target, "target")
@@ -197,8 +198,7 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)):
     if n == 0.0:
         raise ValueError("eye and target coincide")
     z = z / n
-    up = as_vector3(up, "up")
-    x = np.cross(z, up)
+    x = np.cross(z, np.array([0.0, 0.0, 1.0]))
     if np.linalg.norm(x) < 1e-9:
         x = np.cross(z, np.array([1.0, 0.0, 0.0]))
     x = x / np.linalg.norm(x)

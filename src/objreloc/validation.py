@@ -12,11 +12,16 @@ import numpy as np
 ROTATION_TOL = 1e-8
 
 
-def as_vector3(x, name="x"):
+def _as_float_array(x, name):
+    """np.asarray(x, float64); ValueError naming the field when x is not numeric."""
     try:
-        v = np.asarray(x, dtype=np.float64)
+        return np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # a string, a mapping, a ragged list
         raise ValueError(f"{name}: {exc}") from exc
+
+
+def as_vector3(x, name="x"):
+    v = _as_float_array(x, name)
     if v.shape != (3,):
         raise ValueError(f"{name}: expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -25,10 +30,7 @@ def as_vector3(x, name="x"):
 
 
 def as_matrix3(x, name="x"):
-    try:
-        m = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a string, a mapping, a ragged list
-        raise ValueError(f"{name}: {exc}") from exc
+    m = _as_float_array(x, name)
     if m.shape != (3, 3):
         raise ValueError(f"{name}: expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -38,10 +40,7 @@ def as_matrix3(x, name="x"):
 
 def as_points(x, name="points"):
     """Coerce to an (N, 3) float64 array; an empty input becomes (0, 3)."""
-    try:
-        p = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a string, a mapping, a ragged list
-        raise ValueError(f"{name}: {exc}") from exc
+    p = _as_float_array(x, name)
     if p.size == 0:
         return p.reshape(0, 3)
     if p.ndim != 2 or p.shape[1] != 3:

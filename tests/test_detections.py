@@ -147,7 +147,7 @@ class TestSimulate:
 
 class TestRecordChecks:
     def test_unknown_label_rejected(self):
-        box = OrientedBox.create(np.array([0.0, 0.0, 1.0]), np.eye(3), [0.1, 0.1, 0.1])
+        box = OrientedBox(np.array([0.0, 0.0, 1.0]), np.eye(3), [0.1, 0.1, 0.1])
         with pytest.raises(ValueError, match="'toaster' not in"):
             DetectedObject("toaster", box)
 

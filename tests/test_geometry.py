@@ -28,7 +28,7 @@ def random_transform(rng):
 
 def random_box(rng, center_span=1.0):
     axis = rng.normal(size=3)
-    return OrientedBox.create(
+    return OrientedBox(
         rng.uniform(-center_span, center_span, 3),
         rotation_from_axis_angle(axis, rng.uniform(0, 180)),
         rng.uniform(0.05, 0.5, 3),
@@ -117,14 +117,14 @@ class TestBoxIoU:
             assert box_iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        b1 = OrientedBox.create([0, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
-        b2 = OrientedBox.create([5, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
+        b1 = OrientedBox([0, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
+        b2 = OrientedBox([5, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
         assert box_iou(b1, b2) == 0.0
 
     def test_offset_unit_cubes(self):
         # intersection 0.5, union 1.5 -> exactly 1/3
-        b1 = OrientedBox.create([0, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
-        b2 = OrientedBox.create([0.5, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
+        b1 = OrientedBox([0, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
+        b2 = OrientedBox([0.5, 0, 0], np.eye(3), [0.5, 0.5, 0.5])
         assert abs(box_iou(b1, b2) - 1.0 / 3.0) <= 0.02
 
     def test_symmetry_exact(self):
@@ -146,7 +146,7 @@ class TestBoxIoU:
         assert worst <= 0.02, f"worst IoU deviation from MC oracle: {worst}"
 
     def test_scale_invariant(self):
-        b = OrientedBox.create([0, 0, 0], rz(30.0), [0.1, 0.2, 0.3])
+        b = OrientedBox([0, 0, 0], rz(30.0), [0.1, 0.2, 0.3])
         assert abs(b.scale - (8 * 0.1 * 0.2 * 0.3) ** (1 / 3)) < 1e-9
 
     def test_matches_lattice_oracle_bitwise(self):
@@ -155,36 +155,36 @@ class TestBoxIoU:
         quarter_z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         quarter_x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
         half_y = np.diag([-1.0, 1.0, -1.0])
-        cube = OrientedBox.create([0, 0, 0], eye, [0.5, 0.5, 0.5])
+        cube = OrientedBox([0, 0, 0], eye, [0.5, 0.5, 0.5])
         pairs = [(random_box(rng, center_span=0.3), random_box(rng, center_span=0.3)) for _ in range(150)]
         # identity orientations, faces on the cube's cell boundaries (k/32 - 0.5)
         # and on its cell-centre planes ((k + 0.5)/32 - 0.5)
         for shift in (0.0, 1 / 32, 5 / 32, 1 / 64, 3 / 64, 0.5 + 1 / 64, -17 / 64):
             for ext in (0.5, 0.25, 1 / 64, 9 / 64):
-                pairs.append((cube, OrientedBox.create([shift, shift / 2, -shift], eye, [ext, 0.5, ext])))
+                pairs.append((cube, OrientedBox([shift, shift / 2, -shift], eye, [ext, 0.5, ext])))
         # tangent: a shared face, a shared edge and a shared corner
         for c in ([1, 0, 0], [1, 1, 0], [1, 1, 1]):
-            pairs.append((cube, OrientedBox.create(c, eye, [0.5, 0.5, 0.5])))
-            pairs.append((cube, OrientedBox.create(c, quarter_z, [0.5, 0.5, 0.5])))
+            pairs.append((cube, OrientedBox(c, eye, [0.5, 0.5, 0.5])))
+            pairs.append((cube, OrientedBox(c, quarter_z, [0.5, 0.5, 0.5])))
         # one box strictly inside the other
         for _ in range(20):
-            small = OrientedBox.create(rng.uniform(-0.1, 0.1, 3), random_box(rng).orientation,
-                                       rng.uniform(0.02, 0.1, 3))
+            small = OrientedBox(rng.uniform(-0.1, 0.1, 3), random_box(rng).orientation,
+                                rng.uniform(0.02, 0.1, 3))
             pairs.append((cube, small))
         # thin boxes, extent ratio >= 100
         for _ in range(20):
-            thin = OrientedBox.create(rng.uniform(-0.2, 0.2, 3), random_box(rng).orientation,
-                                      rng.permutation([0.4, 0.3, rng.uniform(0.001, 0.003)]))
+            thin = OrientedBox(rng.uniform(-0.2, 0.2, 3), random_box(rng).orientation,
+                               rng.permutation([0.4, 0.3, rng.uniform(0.001, 0.003)]))
             pairs.append((thin, random_box(rng, center_span=0.2)))
-            pairs.append((thin, OrientedBox.create(thin.centroid, random_box(rng).orientation,
-                                                   [0.5, 0.004, 0.3])))
+            pairs.append((thin, OrientedBox(thin.centroid, random_box(rng).orientation,
+                                            [0.5, 0.004, 0.3])))
         # exact quarter and half turns (zero step components) and their
         # rotation_from_axis_angle counterparts (6e-17 instead of 0)
         for r in (quarter_z, quarter_x, half_y, quarter_z @ quarter_x, rz(90.0), rz(180.0)):
             for shift in (0.0, 1 / 32, 3 / 64, 0.3):
-                pairs.append((cube, OrientedBox.create([shift, 0, shift], r, [0.5, 0.25, 0.125])))
-                pairs.append((OrientedBox.create([0, shift, 0], r, [0.2, 0.3, 0.1]),
-                              OrientedBox.create([shift, 0, 0], r @ quarter_z, [0.3, 0.2, 0.1])))
+                pairs.append((cube, OrientedBox([shift, 0, shift], r, [0.5, 0.25, 0.125])))
+                pairs.append((OrientedBox([0, shift, 0], r, [0.2, 0.3, 0.1]),
+                              OrientedBox([shift, 0, 0], r @ quarter_z, [0.3, 0.2, 0.1])))
         partial = 0
         for b1, b2 in pairs:
             got = box_iou(b1, b2)
@@ -204,6 +204,18 @@ class TestAabb:
         assert np.array_equal(lo, box.centroid - half) and np.array_equal(hi, box.centroid + half)
         with pytest.raises(ValueError):
             lo[0] = 0.0
+
+
+class TestOrientedBoxScale:
+    def test_scale_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            OrientedBox([0, 0, 0], np.eye(3), [0.1, 0.2, 0.3], 0.5)
+
+    def test_scale_is_cube_root_of_volume(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            box = random_box(rng)
+            assert box.scale == float(np.cbrt(box.volume))
 
 
 class TestMahalanobis:

@@ -28,13 +28,13 @@ TINY_SENSOR = SensorParams(width=8, height=6)
 
 
 def cube_det(label="mug", center=(0, 0, 0), half=0.5):
-    box = OrientedBox.create(np.array(center, dtype=float), np.eye(3), [half] * 3)
+    box = OrientedBox(np.array(center, dtype=float), np.eye(3), [half] * 3)
     return DetectedObject(label, box)
 
 
 def single_config_object(label="mug", center=(0, 0, 0), half=0.5):
     det = cube_det(label, center, half)
-    return MapObject(label, [Configuration.from_detection(det.box)])
+    return MapObject(label, [Configuration([det.box])])
 
 
 class TestChiSquaredGate:
@@ -83,7 +83,7 @@ class TestGateDecision:
 
     def test_two_passing_merge(self):
         obj = single_config_object()
-        second = Configuration.from_detection(cube_det(center=(0.02, 0, 0)).box)
+        second = Configuration([cube_det(center=(0.02, 0, 0)).box])
         obj.configurations.append(second)
         d = select_or_merge_configurations(obj, np.array([0.01, 0, 0]), CHI2_GATE_3DOF)
         assert d == (0, 1)
@@ -107,7 +107,7 @@ class TestIntegrate:
         m = ObjectMap()
         frame = make_frame([cube_det("mug", (0.2, 0, 0.1), 0.05), cube_det("bowl", (-0.2, 0, 0.1), 0.08)])
         pose = RigidTransform.identity()
-        integrate_keyframe(m, frame, pose, TINY_SENSOR)
+        integrate_keyframe(m, frame, pose)
         assert len(m) == 2
         for obj in m.objects:
             assert len(obj.configurations) == 1
@@ -119,7 +119,7 @@ class TestIntegrate:
         pose = RigidTransform.identity()
         det = cube_det("mug", (0.0, 0.0, 2.0), 0.05)
         for fid in range(5):
-            integrate_keyframe(m, make_frame([det], fid), pose, SensorParams())
+            integrate_keyframe(m, make_frame([det], fid), pose)
         assert len(m) == 1
         obj = m.objects[0]
         assert len(obj.configurations) == 1
@@ -148,7 +148,7 @@ class TestIntegrate:
         m = ObjectMap()
         for fid, pose in enumerate(poses):
             frame = simulate_detections(scene, pose, params, fid, TINY_SENSOR)
-            integrate_keyframe(m, frame, pose, TINY_SENSOR)
+            integrate_keyframe(m, frame, pose)
         assert len(m) == 1
         cfgs = m.objects[0].configurations
         assert len(cfgs) == 2
@@ -161,11 +161,11 @@ class TestIntegrate:
         pose = RigidTransform.identity()
         for fid in range(10):
             c = np.array([0.0, 0.0, 2.0]) + rng.normal(0, 0.01, 3)
-            integrate_keyframe(m, make_frame([cube_det("mug", c, 0.05)], fid), pose, SensorParams())
+            integrate_keyframe(m, make_frame([cube_det("mug", c, 0.05)], fid), pose)
         for obj in m.objects:
             for cfg in obj.configurations:
                 np.testing.assert_allclose(
-                    cfg.centroid.mean, np.mean(cfg.samples, axis=0), atol=1e-9
+                    cfg.centroid.mean, np.mean([b.centroid for b in cfg.observations], axis=0), atol=1e-9
                 )
                 assert np.linalg.eigvalsh(cfg.centroid.covariance)[0] >= 1e-6 * (1 - 1e-12)
                 np.testing.assert_allclose(cfg.box.centroid, cfg.centroid.mean, atol=1e-9)
@@ -175,7 +175,7 @@ class TestIntegrate:
         pose = RigidTransform.identity()
         det = cube_det("mug", (0.1, 0.2, 2.0), 0.05)
         for fid in range(4):
-            integrate_keyframe(m, make_frame([det], fid), pose, SensorParams())
+            integrate_keyframe(m, make_frame([det], fid), pose)
         obj = m.objects[0]
         d = select_or_merge_configurations(
             obj, obj.configurations[0].centroid.mean, m.fusion_params.chi2_gate
@@ -192,7 +192,7 @@ class TestIntegrate:
                 cube_det("mug", rng.uniform(-1, 1, 3) + [0, 0, 2.5], 0.05)
                 for _ in range(rng.integers(0, 3))
             ]
-            integrate_keyframe(m, make_frame(dets, fid), pose, SensorParams())
+            integrate_keyframe(m, make_frame(dets, fid), pose)
             assert len(m) >= last
             last = len(m)
 
@@ -208,11 +208,25 @@ class TestIntegrate:
         m2 = ObjectMap()
         for fid in range(6):
             perm = rng.permutation(3)
-            integrate_keyframe(m1, make_frame(dets, fid), pose, SensorParams())
-            integrate_keyframe(m2, make_frame([dets[i] for i in perm], fid), pose, SensorParams())
+            integrate_keyframe(m1, make_frame(dets, fid), pose)
+            integrate_keyframe(m2, make_frame([dets[i] for i in perm], fid), pose)
         means1 = sorted(tuple(o.configurations[0].centroid.mean) for o in m1.objects)
         means2 = sorted(tuple(o.configurations[0].centroid.mean) for o in m2.objects)
         np.testing.assert_allclose(means1, means2, atol=1e-9)
+
+
+    def test_frustum_is_the_frames_own_sensor(self):
+        # x/z = 0.5: inside DEFAULT_SENSOR's 45 degree half-angle, outside the
+        # narrow sensor's 15 degree one
+        from objreloc.detections import FrameDetections
+
+        m = ObjectMap()
+        pose = RigidTransform.identity()
+        integrate_keyframe(m, make_frame([cube_det("mug", (1.0, 0.0, 2.0), 0.05),
+                                          cube_det("bowl", (0.0, 0.0, 2.0), 0.05)]), pose)
+        narrow = FrameDetections(1, [], np.zeros((0, 3)), sensor=SensorParams(fov_deg=30.0))
+        integrate_keyframe(m, narrow, pose)
+        assert [(o.label, o.expected_view_count) for o in m.objects] == [("mug", 1), ("bowl", 2)]
 
 
 def snapshot(obj_map):
@@ -229,24 +243,24 @@ def snapshot(obj_map):
 
 class TestFinalize:
     def test_finalized_map_rejects_integration(self):
-        final = finalize_map(ObjectMap([single_config_object()]), 1)
+        final = finalize_map(ObjectMap([single_config_object()]))
         with pytest.raises(ValueError):
             integrate_keyframe(final, make_frame([]), RigidTransform.identity())
 
     def test_finalize_rejects_finalized_map(self):
         obj = single_config_object()
         obj.detected_keyframes = {0, 1}
-        final = finalize_map(ObjectMap([obj], processed_keyframes=2), 2)
+        final = finalize_map(ObjectMap([obj], processed_keyframes=2))
         assert len(final) == 1
         with pytest.raises(ValueError):
-            finalize_map(final, 2)
+            finalize_map(final)
 
     def test_retained_at_quarter_fraction(self):
         obj = single_config_object()
         obj.detected_keyframes = set(range(10))
         obj.expected_view_count = 20
         m = ObjectMap([obj], processed_keyframes=20)
-        out = finalize_map(m, 20)
+        out = finalize_map(m)
         assert len(out) == 1 and out.finalized
 
     def test_false_positive_removed(self):
@@ -254,14 +268,14 @@ class TestFinalize:
         obj.detected_keyframes = {0}
         obj.expected_view_count = 30
         m = ObjectMap([obj], processed_keyframes=30)
-        assert len(finalize_map(m, 30)) == 0
+        assert len(finalize_map(m)) == 0
 
     def test_single_update_removed_regardless_of_view_count(self):
         obj = single_config_object()
         obj.detected_keyframes = {0}
         obj.expected_view_count = 1
         m = ObjectMap([obj], processed_keyframes=40)
-        assert len(finalize_map(m, 40)) == 0
+        assert len(finalize_map(m)) == 0
 
     def test_mug_flip_ghost_folds_into_its_object(self):
         # a flip moves a mug's box out of IoU reach, founding a second object;
@@ -285,10 +299,10 @@ class TestFinalize:
         m = ObjectMap()
         for fid, pose in enumerate(poses):
             frame = simulate_detections(scene, pose, params, fid, TINY_SENSOR)
-            integrate_keyframe(m, frame, pose, TINY_SENSOR)
+            integrate_keyframe(m, frame, pose)
         assert len(m) == 2
         before = snapshot(m)
-        final = finalize_map(m, 20)
+        final = finalize_map(m)
         assert snapshot(m) == before  # the input map is left unmodified
         assert len(final) == 1
         cfgs = final.objects[0].configurations
@@ -298,22 +312,38 @@ class TestFinalize:
         gap = np.linalg.norm(cfgs[0].centroid.mean - cfgs[1].centroid.mean)
         assert abs(gap - 0.12) < 0.02
 
+    def test_later_integration_leaves_finalized_map_unchanged(self):
+        # the finalized map shares its configurations with the source map;
+        # pooling into the source replaces both and founding appends a third,
+        # and neither may reach the finalized map
+        m = ObjectMap()
+        pose = RigidTransform.identity()
+        for fid, x in enumerate([0.12, 0.0, 0.0, 0.0]):
+            integrate_keyframe(m, make_frame([cube_det("laptop", (x, 0.0, 2.0), 0.2)], fid), pose)
+        final = finalize_map(m)
+        assert final.objects[0].configurations[1] is m.objects[0].configurations[0]
+        before = snapshot(final)
+        for fid, x in enumerate([0.0, 0.12, 0.0, 0.3], start=4):
+            integrate_keyframe(m, make_frame([cube_det("laptop", (x, 0.0, 2.0), 0.2)], fid), pose)
+        assert [c.centroid.sample_count for c in m.objects[0].configurations] == [2, 5, 1]
+        assert snapshot(final) == before
+
     def test_co_detected_neighbours_stay_apart(self):
         # centroids 0.12 apart, within the 0.17 sum of half-diagonals
         m = ObjectMap()
         dets = [cube_det("mug", (0.0, 0.0, 2.0), 0.05), cube_det("mug", (0.12, 0.0, 2.0), 0.05)]
         for fid in range(5):
-            integrate_keyframe(m, make_frame(dets, fid), RigidTransform.identity(), SensorParams())
-        assert len(finalize_map(m, 5)) == 2
+            integrate_keyframe(m, make_frame(dets, fid), RigidTransform.identity())
+        assert len(finalize_map(m)) == 2
 
     def test_label_confusion_duplicate_absorbed(self):
         m = ObjectMap()
         pose = RigidTransform.identity()
         for fid in range(8):
             label = "mug" if fid < 6 else "bowl"
-            integrate_keyframe(m, make_frame([cube_det(label, (0.0, 0.0, 2.0), 0.05)], fid), pose, SensorParams())
+            integrate_keyframe(m, make_frame([cube_det(label, (0.0, 0.0, 2.0), 0.05)], fid), pose)
         assert len(m) == 2
-        final = finalize_map(m, 8)
+        final = finalize_map(m)
         assert len(final) == 1
         obj = final.objects[0]
         assert obj.label == "mug" and len(obj.configurations) == 1
@@ -324,9 +354,9 @@ class TestFinalize:
         m = ObjectMap()
         pose = RigidTransform.identity()
         for fid, x in enumerate([0.12, 0.0, 0.0, 0.0]):
-            integrate_keyframe(m, make_frame([cube_det("laptop", (x, 0.0, 2.0), 0.2)], fid), pose, SensorParams())
+            integrate_keyframe(m, make_frame([cube_det("laptop", (x, 0.0, 2.0), 0.2)], fid), pose)
         assert [c.centroid.sample_count for c in m.objects[0].configurations] == [1, 3]
-        cfgs = finalize_map(m, 4).objects[0].configurations
+        cfgs = finalize_map(m).objects[0].configurations
         assert [c.centroid.sample_count for c in cfgs] == [3, 1]
         np.testing.assert_allclose(cfgs[0].centroid.mean, [0.0, 0.0, 2.0], atol=1e-12)
 
@@ -344,8 +374,8 @@ class TestFinalize:
             m = ObjectMap()
             for fid, pose in enumerate(poses):
                 frame = simulate_detections(scene, pose, params, fid, sensor)
-                integrate_keyframe(m, frame, pose, sensor)
-            final = finalize_map(m, 40)
+                integrate_keyframe(m, frame, pose)
+            final = finalize_map(m)
             if len(final) == len(scene.objects):
                 truths = np.array([o.pose.translation for o in scene.objects])
                 ok = all(

@@ -15,13 +15,13 @@ from objreloc.oracles import brute_force_one_to_one
 
 
 def det(label, center, scale_half=0.05):
-    box = OrientedBox.create(np.array(center, dtype=float), np.eye(3), [scale_half] * 3)
+    box = OrientedBox(np.array(center, dtype=float), np.eye(3), [scale_half] * 3)
     return DetectedObject(label, box)
 
 
 def map_of(dets):
     objects = [
-        MapObject(d.label, [Configuration.from_detection(d.box)])
+        MapObject(d.label, [Configuration([d.box])])
         for d in dets
     ]
     return ObjectMap(objects)
@@ -238,8 +238,8 @@ class TestRigidInvariance:
             moved = [
                 DetectedObject(
                     d.label,
-                    OrientedBox.create(g.apply(d.box.centroid), g.rotation @ d.box.orientation,
-                                       d.box.extents),
+                    OrientedBox(g.apply(d.box.centroid), g.rotation @ d.box.orientation,
+                                d.box.extents),
                     d.confidence,
                 )
                 for d in frame
