@@ -6,14 +6,15 @@ possible with the implementation it checks. The test suite runs these.
 """
 
 import itertools
+import math
 from math import comb
 
 import numpy as np
 
 from .errors import CollinearPoints, NoConsensus
 from .geometry import RigidTransform, nearest_rotation
-from .registration import (RANSAC_INLIER_M, RANSAC_MAX_ITERS, _check_not_collinear, _fit_rigid,
-                           probabilistic_ao)
+from .registration import (NORMAL_AZIMUTH_BIN_DEG, NORMAL_POLAR_BIN_DEG, RANSAC_INLIER_M,
+                           RANSAC_MAX_ITERS, _check_not_collinear, _fit_rigid, probabilistic_ao)
 from .scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder, _intersect_ground,
                     _ray_dirs)
 
@@ -316,3 +317,34 @@ def lattice_normals_every_point(points, sensor):
         normals[i] = eigvecs[:, 0]
         variation[i] = max(eigvals[0], 0.0) / np.trace(scatter)
     return normals, variation
+
+
+def normal_space_sample_loop(normals, lattice, budget):
+    """normal_space_sample, point by point with the math module.
+
+    Each normal, turned to n_z <= 0, goes to the bucket of its polar angle
+    from -z (the last polar step ending at 90 degrees) and its azimuth. The
+    buckets are then visited smallest first, equal sizes in bucket order, and
+    each keeps min(its size, budget left // buckets not yet visited) of its
+    points: picks j = 0 .. k-1 at positions j (size - 1) // (k - 1) of its
+    points sorted by lattice. Returns the kept indices, sorted.
+    """
+    n_polar = round(90.0 / NORMAL_POLAR_BIN_DEG)
+    n_azimuth = round(360.0 / NORMAL_AZIMUTH_BIN_DEG)
+    buckets = {}
+    for i, (x, y, z) in enumerate(np.asarray(normals, dtype=np.float64).tolist()):
+        if z > 0.0:
+            x, y, z = -x, -y, -z
+        polar = min(int(math.degrees(math.acos(min(-z, 1.0))) // NORMAL_POLAR_BIN_DEG),
+                    n_polar - 1)
+        azimuth = int(math.degrees(math.atan2(y + 0.0, x + 0.0)) // NORMAL_AZIMUTH_BIN_DEG)
+        buckets.setdefault(polar * n_azimuth + azimuth % n_azimuth, []).append(i)
+    ranked = sorted(buckets, key=lambda b: (len(buckets[b]), b))
+    left = budget
+    kept = []
+    for visited, b in enumerate(ranked):
+        members = sorted(buckets[b], key=lambda i: lattice[i])
+        k = min(len(members), left // (len(ranked) - visited))
+        left -= k
+        kept += [members[j * (len(members) - 1) // max(k - 1, 1)] for j in range(k)]
+    return sorted(kept)

@@ -42,6 +42,7 @@ MIN_CORRESPONDENCES = 3
 class RelocParams:
     ransac_seed: int = 0
     use_icp: bool = True
+    # ICP queries at most min(icp_max_points, registration.ICP_SAMPLE_POINTS)
     icp_max_points: int = ICP_MAX_POINTS
 
     def __post_init__(self):
@@ -65,6 +66,8 @@ class RelocResult:
     icp_diverged: bool = False
     # the hypotheses RANSAC scored, left 0 when it returned no pose
     ransac_hypotheses: int = 0
+    # the frame points ICP queried, left 0 when ICP did not run or returned no pose
+    icp_points: int = 0
 
     def __post_init__(self):
         if self.status == "success" and (
@@ -186,6 +189,7 @@ def relocalise(frame, obj_map, surface, params=None):
         icp_converged=icp.converged if icp else False,
         icp_diverged=icp.diverged if icp else False,
         ransac_hypotheses=ao.ransac_hypotheses,
+        icp_points=icp.points if icp else 0,
     )
 
 

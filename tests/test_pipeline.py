@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from objreloc import pipeline
+from objreloc import pipeline, registration
 from objreloc.detections import FrameDetections, NoiseParams, simulate_detections
 from objreloc.errors import ConfigError, MissingGroundTruth
 from objreloc.geometry import RigidTransform, rotation_angle_between
@@ -147,6 +147,43 @@ class TestRelocalise:
         assert "ransac_hypotheses" not in report
         two = FrameDetections(906, frame.objects[:2], frame.depth_points, None, sensor=sensor)
         assert relocalise(two, obj_map, surface).ransac_hypotheses == 0
+
+    def test_icp_points_reported(self, zero_noise_setup):
+        scene, sensor, obj_map, surface = zero_noise_setup
+        pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=150.0))[0]
+        frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 907, sensor)
+        with_icp = relocalise(frame, obj_map, surface)
+        sampled = relocalise(frame, obj_map, surface, RelocParams(icp_max_points=100))
+        ao_only = relocalise(frame, obj_map, surface, RelocParams(use_icp=False))
+        assert with_icp.status == sampled.status == ao_only.status == "success"
+        assert 100 < with_icp.icp_points <= len(frame.depth_points)
+        assert sampled.icp_points == 100
+        assert ao_only.icp_points == 0
+        report = evaluate([with_icp], {907: pose}).canonical_json(include_timing=True)
+        assert "icp_points" not in report
+        two = FrameDetections(907, frame.objects[:2], frame.depth_points, None, sensor=sensor)
+        assert relocalise(two, obj_map, surface).icp_points == 0
+
+    def test_ao_only_computes_no_normals(self, zero_noise_setup, monkeypatch):
+        scene, sensor, obj_map, surface = zero_noise_setup
+
+        class Called(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Called
+
+        monkeypatch.setattr(registration, "estimate_normals", refuse)
+        monkeypatch.setattr(registration, "normal_space_sample", refuse)
+        pose = generate_trajectory(TrajectorySpec(frame_count=1, start_deg=150.0))[0]
+        frame = simulate_detections(scene, pose, NoiseParams.noiseless(seed=5), 908, sensor)
+        res = relocalise(frame, obj_map, None, RelocParams(use_icp=False))
+        assert res.status == "success" and res.icp_points == 0
+        rep = run_benchmark(small_benchmark_config(reloc={"use_icp": False}))
+        assert any(e["status"] == "success" for e in rep.per_frame)
+        # the same frame with ICP does reach them
+        with pytest.raises(Called):
+            relocalise(frame, obj_map, surface)
 
     def test_diverged_icp_falls_back_to_ao_pose(self, zero_noise_setup, monkeypatch):
         scene, sensor, obj_map, surface = zero_noise_setup

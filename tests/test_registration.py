@@ -10,11 +10,15 @@ from objreloc.oracles import (
     coordinate_descent_ao,
     exhaustive_ransac_triples,
     lattice_normals_every_point,
+    normal_space_sample_loop,
     numerical_gradient,
     ransac_triple_loop,
     weighted_ao_cost,
 )
 from objreloc.registration import (
+    ICP_SAMPLE_POINTS,
+    NORMAL_AZIMUTH_BIN_DEG,
+    NORMAL_POLAR_BIN_DEG,
     RANSAC_INLIER_M,
     RANSAC_MAX_ITERS,
     RegistrationResult,
@@ -28,6 +32,7 @@ from objreloc.registration import (
     estimate_normals,
     horn_ao,
     icp_cost_and_gradient,
+    normal_space_sample,
     probabilistic_ao,
     ransac_ao,
 )
@@ -392,6 +397,37 @@ class TestDepthCentroidICP:
             depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(),
                                sensor=DEFAULT_SENSOR)
 
+    def test_no_correspondences_counts_queried_points(self):
+        _, surface = rendered_desk(DESK_VIEW)
+        # the same far 2x2 block, and a lone far point whose window is too
+        # sparse for a normal: ICP queries the block's 4 points, not the 5
+        f, cx, cy = DEFAULT_SENSOR.pinhole
+        u, v = np.meshgrid([80, 81], [60, 61], indexing="ij")
+        u, v = np.append(u.ravel(), 20), np.append(v.ravel(), 20)
+        frame_pts = 5.0 * np.column_stack([(u - cx) / f, (v - cy) / f, np.ones(5)])
+        with pytest.raises(NoCorrespondences, match=r"^all 4 queried depth points rejected"):
+            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(),
+                               sensor=DEFAULT_SENSOR)
+
+    def test_points_is_the_sample_budget(self):
+        frame_pts, surface = rendered_desk(DESK_VIEW)
+        _, variation = estimate_normals(frame_pts, DEFAULT_SENSOR)
+        planar = np.count_nonzero(variation <= max(50.0 * np.median(variation), 1e-10))
+        assert planar > ICP_SAMPLE_POINTS
+        for max_points, want in ((100, 100), (ICP_SAMPLE_POINTS, ICP_SAMPLE_POINTS),
+                                 (10 * planar, ICP_SAMPLE_POINTS)):
+            res = depth_centroid_icp(frame_pts, surface, [], DESK_VIEW, max_points,
+                                     sensor=DEFAULT_SENSOR)
+            assert res.points == want
+            assert pose_error(res.pose, DESK_VIEW)[0] < 1e-9
+        few = frame_pts[:1000]
+        res = depth_centroid_icp(few, surface, [], DESK_VIEW, sensor=DEFAULT_SENSOR)
+        _, variation = estimate_normals(few, DEFAULT_SENSOR)
+        assert res.points == np.count_nonzero(
+            variation <= max(50.0 * np.median(variation), 1e-10)) > 0
+        assert depth_centroid_icp(np.zeros((0, 3)), surface, make_pairs(
+            np.eye(3), np.eye(3)), DESK_VIEW, sensor=DEFAULT_SENSOR).points == 0
+
     def test_icp_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
         _, surface = rendered_desk(DESK_VIEW)
@@ -502,6 +538,74 @@ class TestLatticeNormals:
         planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
         assert np.all(variation[straddle] > 100 * np.median(variation))
         assert np.all(variation[straddle] > planar_gate)
+
+
+def unit_normals_at(polar_deg, azimuth_deg, count):
+    """count copies of the unit normal with n_z <= 0 at the given polar angle
+    from -z and azimuth."""
+    p, a = np.radians(polar_deg), np.radians(azimuth_deg)
+    return np.tile([np.sin(p) * np.cos(a), np.sin(p) * np.sin(a), -np.cos(p)], (count, 1))
+
+
+def clustered_normals(rng, n):
+    """n random unit normals of either sign: two thirds near one direction,
+    as a view of the ground gives, the rest spread over the sphere."""
+    crowd = n * 2 // 3
+    normals = np.vstack([[0.1, -0.5, -0.85] + rng.normal(0.0, 0.08, (crowd, 3)),
+                         rng.normal(size=(n - crowd, 3))])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals * rng.choice([-1.0, 1.0], (n, 1))
+
+
+class TestNormalSpaceSample:
+    """ICP's sample of a frame's planar points, by normal direction."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("budget", [1, 30, 250, 599, 600, 601, 5000])
+    def test_matches_loop_oracle(self, seed, budget):
+        rng = np.random.default_rng(seed)
+        normals = clustered_normals(rng, 600)
+        lattice = rng.permutation(19200)[:600]
+        got = normal_space_sample(normals, lattice, budget)
+        want = normal_space_sample_loop(normals, lattice, budget)
+        assert np.array_equal(got, want)
+        assert len(got) == min(budget, 600)
+
+    def test_small_bucket_keeps_every_point(self):
+        # buckets of 5, 300 and 900 points: the small one keeps all 5, and
+        # the 95 it leaves of its share of 33 go to the other two
+        half_p, half_a = NORMAL_POLAR_BIN_DEG / 2.0, NORMAL_AZIMUTH_BIN_DEG / 2.0
+        normals = np.vstack([
+            unit_normals_at(3 * NORMAL_POLAR_BIN_DEG + half_p, half_a, 900),
+            unit_normals_at(NORMAL_POLAR_BIN_DEG + half_p, 3 * NORMAL_AZIMUTH_BIN_DEG + half_a, 5),
+            -unit_normals_at(2 * NORMAL_POLAR_BIN_DEG + half_p, -5 * NORMAL_AZIMUTH_BIN_DEG, 300),
+        ])
+        lattice = np.random.default_rng(3).permutation(len(normals))
+        got = normal_space_sample(normals, lattice, 100)
+        assert np.array_equal(got, normal_space_sample_loop(normals, lattice, 100))
+        per_bucket = np.bincount(np.searchsorted([900, 905], got, side="right"), minlength=3)
+        assert per_bucket.tolist() == [48, 5, 47]
+        # picks are evenly spaced in lattice order, the first and last included
+        big = lattice[got[got < 900]]
+        assert big.min() == lattice[:900].min() and big.max() == lattice[:900].max()
+
+    def test_permuted_cloud_selects_same_pixels(self):
+        pts = noisy_rendered_cloud(1.0)
+        perm = np.random.default_rng(18).permutation(len(pts))
+        picked = []
+        for cloud in (pts, pts[perm]):
+            normals, _ = estimate_normals(cloud, DEFAULT_SENSOR)
+            lattice = DEFAULT_SENSOR.lattice_index(cloud)
+            picked.append(np.sort(lattice[normal_space_sample(normals, lattice, 2000)]))
+        assert len(pts) > 2000 and len(picked[0]) == 2000
+        assert np.array_equal(picked[0], picked[1])
+
+    @pytest.mark.parametrize("extra", [0, 1, 1000])
+    def test_budget_at_or_above_count_keeps_every_index(self, extra):
+        rng = np.random.default_rng(4)
+        normals = clustered_normals(rng, 300)
+        lattice = rng.permutation(300)
+        assert np.array_equal(normal_space_sample(normals, lattice, 300 + extra), np.arange(300))
 
 
 class TestSurfaceModel:
