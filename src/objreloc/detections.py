@@ -125,9 +125,9 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
     world_from_cam = camera_pose
     cam_from_world = camera_pose.inverse()
     detections = []
-    for obj in scene.objects:
-        centroid_cam = cam_from_world.apply(obj.pose.translation)
-        visible = in_frustum(centroid_cam, sensor)
+    centroids = np.array([obj.pose.translation for obj in scene.objects]).reshape(-1, 3)
+    in_view = in_frustum(cam_from_world.apply(centroids), sensor)
+    for obj, visible in zip(scene.objects, in_view):
         # draws happen for every object so the stream layout is independent
         # of visibility outcomes
         drop = rng.uniform() < params.p_false_negative

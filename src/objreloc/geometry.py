@@ -20,7 +20,7 @@ from .validation import as_matrix3, as_vector3, check_covariance, check_rotation
 # distances stay defined even for single-sample configurations.
 COVARIANCE_FLOOR = 1e-6
 
-# Centroid prior of GaussianCentroid.from_samples (see there)
+# Centroid prior of GaussianCentroid.from_moments (see there)
 CENTROID_PRIOR_SIGMA = 0.02  # m
 MIN_SAMPLES_FOR_COV = 3
 
@@ -41,13 +41,18 @@ _IOU_GRID_N = 32
 _IOU_GRID = (np.arange(_IOU_GRID_N) + 0.5) / _IOU_GRID_N * 2.0 - 1.0
 
 
-def nearest_rotation(m):
-    """Project a 3x3 matrix to the nearest rotation (orthogonal polar factor, det +1)."""
-    u, _, vt = np.linalg.svd(as_matrix3(m, "m"))
+def _polar(m):
+    """Nearest rotation to a 3x3 matrix, and the matrix's singular values, from one SVD."""
+    u, s, vt = np.linalg.svd(m)
     r = u @ vt
     if np.linalg.det(r) < 0.0:
         r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    return r, s
+
+
+def nearest_rotation(m):
+    """Project a 3x3 matrix to the nearest rotation (orthogonal polar factor, det +1)."""
+    return _polar(as_matrix3(m, "m"))[0]
 
 
 def rotation_from_axis_angle(axis, angle_deg):
@@ -123,22 +128,27 @@ def rotation_angle_between(a, b):
     return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
 
 
-def rotation_mean(rotations):
-    """Chordal L2 mean: nearest rotation to the element-wise arithmetic mean.
+def chordal_mean(rotation_sum, count):
+    """Chordal L2 mean of count rotations from their element-wise sum: the
+    nearest rotation to the arithmetic mean rotation_sum / count.
 
     Raises DegenerateRotations when the arithmetic mean is rank-deficient
     (antipodal or otherwise irreconcilable inputs).
     """
-    rs = list(rotations)
-    if not rs:
-        raise ValueError("rotation_mean: empty input")
-    m = np.mean(np.stack([as_matrix3(r, "rotation") for r in rs]), axis=0)
-    s = np.linalg.svd(m, compute_uv=False)
+    r, s = _polar(rotation_sum / count)
     if s[1] < 1e-9:
         raise DegenerateRotations(
             f"arithmetic mean of rotations is rank-deficient (singular values {s})"
         )
-    return nearest_rotation(m)
+    return r
+
+
+def rotation_mean(rotations):
+    """Chordal L2 mean of a sequence of rotations (chordal_mean of their sum)."""
+    rs = list(rotations)
+    if not rs:
+        raise ValueError("rotation_mean: empty input")
+    return chordal_mean(np.sum(np.stack([as_matrix3(r, "rotation") for r in rs]), axis=0), len(rs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,26 +285,35 @@ class GaussianCentroid:
             raise ValueError("sample_count: must be non-negative")
 
     @staticmethod
-    def from_samples(samples):
-        """Mean + covariance of centroid observations.
+    def from_moments(count, mean, scatter):
+        """Gaussian centroid of count observations from their mean and their
+        scatter matrix, the sum of (c - mean)(c - mean)^T.
 
         Below MIN_SAMPLES_FOR_COV observations the covariance is the isotropic
         prior CENTROID_PRIOR_SIGMA^2 * I; from then on the unbiased sample
-        covariance plus the decaying prior term (CENTROID_PRIOR_SIGMA^2 / n) I.
-        The blend keeps the gate calibrated while the sample covariance is
-        still rank-deficient (3 points span only a plane) and washes out as
-        evidence accumulates.
+        covariance scatter / (count - 1) plus the decaying prior term
+        (CENTROID_PRIOR_SIGMA^2 / count) I. The blend keeps the gate
+        calibrated while the sample covariance is still rank-deficient
+        (3 points span only a plane) and washes out as evidence accumulates.
+        The result is floored by regularize_covariance.
         """
-        s = np.asarray(samples, dtype=np.float64).reshape(-1, 3)
-        n = s.shape[0]
-        if n == 0:
-            raise ValueError("from_samples: empty sample list")
-        mean = s.mean(axis=0)
-        if n < MIN_SAMPLES_FOR_COV:
+        if count < 1:
+            raise ValueError("from_moments: no observations")
+        if count < MIN_SAMPLES_FOR_COV:
             cov = np.eye(3) * CENTROID_PRIOR_SIGMA**2
         else:
-            cov = np.cov(s.T, ddof=1) + np.eye(3) * (CENTROID_PRIOR_SIGMA**2 / n)
-        return GaussianCentroid(mean, regularize_covariance(cov), n)
+            cov = scatter / (count - 1) + np.eye(3) * (CENTROID_PRIOR_SIGMA**2 / count)
+        return GaussianCentroid(mean, regularize_covariance(cov), count)
+
+    @staticmethod
+    def from_samples(samples):
+        """from_moments of an (n, 3) array of centroid observations."""
+        s = np.asarray(samples, dtype=np.float64).reshape(-1, 3)
+        if s.shape[0] == 0:
+            raise ValueError("from_samples: empty sample list")
+        mean = s.mean(axis=0)
+        d = s - mean
+        return GaussianCentroid.from_moments(s.shape[0], mean, d.T @ d)
 
 
 def mahalanobis_sq(x, g):

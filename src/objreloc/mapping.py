@@ -4,9 +4,10 @@ Key frames contribute detections that are associated to map objects by
 label-gated IoU, then routed to one of the object's box configurations by a
 chi-squared test on the squared Mahalanobis distance of the new centroid:
 no gate passes -> new configuration; one or more pass -> those configurations
-are pooled with the detection into one. A configuration is the list of the
-detected world-frame boxes assigned to it, and its Gaussian centroid and mean
-box are derived from that list.
+are pooled with the detection into one. A configuration keeps the running
+sums of the detected world-frame boxes assigned to it, the incremental form of
+its Gaussian centroid, so pooling costs the same however many boxes it holds;
+its Gaussian centroid and mean box are derived from the sums.
 
 Finalisation first discards objects that are not re-observed in enough of the
 key frames expected to see them. It then folds duplicates into their object:
@@ -33,8 +34,8 @@ from .geometry import (
     GaussianCentroid,
     OrientedBox,
     box_iou,
+    chordal_mean,
     mahalanobis_sq,
-    rotation_mean,
 )
 from .scene import in_frustum
 from .validation import as_real, check_integer, check_probability
@@ -62,31 +63,83 @@ class FusionParams:
 
 
 class Configuration:
-    """One bounding-box mode of a map object: the detected world-frame
-    OrientedBoxes assigned to it, in assignment order.
+    """One bounding-box mode of a map object: the sufficient statistics of the
+    detected world-frame OrientedBoxes assigned to it.
 
-    The Gaussian centroid, the chordal mean orientation and the mean extents
-    are computed from these observations on construction and make up the
-    mean box. A configuration is never changed once built: pooling builds a
-    new one from the pooled observations, so finalized maps can share
-    configurations with the map they came from.
+    They are the count; an origin, the founding box's centroid; the sum of
+    the centroids' offsets from the origin and the sum of the offsets' outer
+    products; the sums of the orientations and of the extents; and the
+    founding box's orientation. Offsets from the origin, not world
+    coordinates, keep the scatter from cancelling in a map far from the world
+    origin.
+
+    The Gaussian centroid (GaussianCentroid.from_moments), the chordal mean
+    orientation and the mean extents are derived from the sums on
+    construction and make up the mean box. When the orientations have no
+    chordal mean (antipodal flip modes pooled together), the founding
+    orientation stands in. Configuration(boxes) founds a configuration from a
+    list of boxes, the first founding it; pooled() builds a new one from
+    several and a new box. A configuration is never changed once built, so
+    finalized maps can share configurations with the map they came from.
 
     A finalized map orders each object's configurations by sample count,
     most first; ties keep founding order.
     """
 
-    def __init__(self, observations):
-        self.observations = observations
-        self.centroid = GaussianCentroid.from_samples(np.array([b.centroid for b in observations]))
-        orientations = [b.orientation for b in observations]
+    __slots__ = ("count", "origin", "offset_sum", "outer_sum", "rotation_sum", "extent_sum",
+                 "founding_orientation", "centroid", "box")
+
+    def __init__(self, boxes):
+        origin = boxes[0].centroid
+        offsets = np.array([b.centroid for b in boxes]) - origin
+        self._derive(len(boxes), origin, offsets.sum(axis=0), offsets.T @ offsets,
+                     sum(b.orientation for b in boxes), sum(b.extents for b in boxes),
+                     boxes[0].orientation)
+
+    @classmethod
+    def pooled(cls, configurations, box):
+        """A new configuration of the boxes of configurations and one more box.
+
+        Each configuration's sums are moved to the first one's origin and
+        added; the first one's founding orientation stays the fallback.
+        """
+        first = configurations[0]
+        origin = first.origin
+        count, offset_sum, outer_sum = first.count, first.offset_sum, first.outer_sum
+        rotation_sum, extent_sum = first.rotation_sum, first.extent_sum
+        for cfg in configurations[1:]:
+            # sum (c - origin) = sum (c - cfg.origin) + n d, and the outer
+            # products likewise, with d = cfg.origin - origin
+            d = cfg.origin - origin
+            outer_sum = (outer_sum + cfg.outer_sum + np.outer(cfg.offset_sum, d)
+                         + np.outer(d, cfg.offset_sum) + cfg.count * np.outer(d, d))
+            offset_sum = offset_sum + cfg.offset_sum + cfg.count * d
+            count += cfg.count
+            rotation_sum = rotation_sum + cfg.rotation_sum
+            extent_sum = extent_sum + cfg.extent_sum
+        d = box.centroid - origin
+        new = object.__new__(cls)
+        new._derive(count + 1, origin, offset_sum + d, outer_sum + np.outer(d, d),
+                    rotation_sum + box.orientation, extent_sum + box.extents,
+                    first.founding_orientation)
+        return new
+
+    def _derive(self, count, origin, offset_sum, outer_sum, rotation_sum, extent_sum,
+                founding_orientation):
+        self.count = count
+        self.origin = origin
+        self.offset_sum = offset_sum
+        self.outer_sum = outer_sum
+        self.rotation_sum = rotation_sum
+        self.extent_sum = extent_sum
+        self.founding_orientation = founding_orientation
+        scatter = outer_sum - np.outer(offset_sum, offset_sum) / count
+        self.centroid = GaussianCentroid.from_moments(count, origin + offset_sum / count, scatter)
         try:
-            rot = rotation_mean(orientations)
+            rot = chordal_mean(rotation_sum, count)
         except DegenerateRotations:
-            # antipodal orientations (merged flip modes) have no chordal mean;
-            # keep the founding observation's orientation
-            rot = orientations[0]
-        mean_extents = np.mean(np.stack([b.extents for b in observations]), axis=0)
-        self.box = OrientedBox(self.centroid.mean, rot, mean_extents)
+            rot = founding_orientation
+        self.box = OrientedBox(self.centroid.mean, rot, extent_sum / count)
 
 
 @dataclass
@@ -193,23 +246,23 @@ def integrate_keyframe(obj_map, frame, pose):
         if not passing:
             obj.configurations.append(Configuration([world_box]))
         else:
-            obj.configurations[passing[0]] = Configuration(
-                [b for k in passing for b in obj.configurations[k].observations] + [world_box]
+            obj.configurations[passing[0]] = Configuration.pooled(
+                [obj.configurations[k] for k in passing], world_box
             )
             for k in reversed(passing[1:]):
                 del obj.configurations[k]
         matched.add(j)
     for j in matched:
         obj_map.objects[j].detected_keyframes.add(frame_index)
-    cam_from_world = pose.inverse()
-    for obj in obj_map.objects:
-        # an object is "expected in view" when any configuration mean is visible
-        visible = any(
-            in_frustum(cam_from_world.apply(cfg.centroid.mean), frame.sensor)
-            for cfg in obj.configurations
-        )
-        if visible:
-            obj.expected_view_count += 1
+    if obj_map.objects:
+        # an object is "expected in view" when any configuration mean is
+        # visible: one frustum test over every mean, then one "any" per object
+        means = [cfg.centroid.mean for obj in obj_map.objects for cfg in obj.configurations]
+        visible = in_frustum(pose.inverse().apply(np.array(means)), frame.sensor)
+        firsts = np.cumsum([0] + [len(obj.configurations) for obj in obj_map.objects[:-1]])
+        for obj, seen in zip(obj_map.objects, np.logical_or.reduceat(visible, firsts)):
+            if seen:
+                obj.expected_view_count += 1
     obj_map.processed_keyframes += 1
     return obj_map
 

@@ -12,7 +12,8 @@ from math import comb
 import numpy as np
 
 from .errors import CollinearPoints, NoConsensus
-from .geometry import RigidTransform, nearest_rotation
+from .geometry import (CENTROID_PRIOR_SIGMA, COVARIANCE_FLOOR, MIN_SAMPLES_FOR_COV,
+                       RigidTransform, nearest_rotation)
 from .registration import (NORMAL_AZIMUTH_BIN_DEG, NORMAL_POLAR_BIN_DEG, RANSAC_INLIER_M,
                            RANSAC_MAX_ITERS, _check_not_collinear, _fit_rigid, probabilistic_ao)
 from .scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder, _intersect_ground,
@@ -348,3 +349,32 @@ def normal_space_sample_loop(normals, lattice, budget):
         left -= k
         kept += [members[j * (len(members) - 1) // max(k - 1, 1)] for j in range(k)]
     return sorted(kept)
+
+
+def configuration_from_boxes(boxes):
+    """A map configuration recomputed from the whole list of its boxes, in
+    assignment order: (mean, covariance, orientation, extents).
+
+    The mean is the centroids' arithmetic mean. The covariance is numpy's
+    unbiased sample covariance plus the decaying prior
+    (CENTROID_PRIOR_SIGMA^2 / n) I, or the prior CENTROID_PRIOR_SIGMA^2 I
+    alone below MIN_SAMPLES_FOR_COV boxes, with its eigenvalues clipped to
+    COVARIANCE_FLOOR. The orientation is the chordal mean, the nearest
+    rotation to the orientations' arithmetic mean by its own SVD, or the
+    first box's orientation when that mean's second singular value is below
+    1e-9. The extents are the arithmetic mean.
+    """
+    centroids = np.array([b.centroid for b in boxes])
+    n = len(boxes)
+    if n < MIN_SAMPLES_FOR_COV:
+        cov = np.eye(3) * CENTROID_PRIOR_SIGMA**2
+    else:
+        cov = np.cov(centroids.T, ddof=1) + np.eye(3) * (CENTROID_PRIOR_SIGMA**2 / n)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    cov = (eigvecs * np.maximum(eigvals, COVARIANCE_FLOOR)) @ eigvecs.T
+    u, s, vt = np.linalg.svd(np.mean([b.orientation for b in boxes], axis=0))
+    if s[1] < 1e-9:
+        orientation = boxes[0].orientation
+    else:
+        orientation = u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+    return centroids.mean(axis=0), cov, orientation, np.mean([b.extents for b in boxes], axis=0)

@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import rotation_angle_between
 from .mapping import FusionParams, ObjectMap, finalize_map, integrate_keyframe
 from .matching import build_adjacency, greedy_select, principal_eigenvector
-from .registration import ICP_MAX_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
+from .registration import ICP_SAMPLE_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
 from .scene import (DEFAULT_SENSOR, SURFACE_VOXEL, SensorParams, TrajectorySpec,
                     build_surface_model, generate_scene, generate_trajectory)
 from .validation import as_real, check_integer, check_nonnegative
@@ -40,10 +40,13 @@ MIN_CORRESPONDENCES = 3
 
 @dataclass(frozen=True)
 class RelocParams:
+    """Relocalisation settings. ICP queries at most icp_max_points frame
+    points; the default is registration.ICP_SAMPLE_POINTS, and a larger value
+    does not raise the budget above it."""
+
     ransac_seed: int = 0
     use_icp: bool = True
-    # ICP queries at most min(icp_max_points, registration.ICP_SAMPLE_POINTS)
-    icp_max_points: int = ICP_MAX_POINTS
+    icp_max_points: int = ICP_SAMPLE_POINTS
 
     def __post_init__(self):
         check_integer(self.icp_max_points, "icp_max_points", 1)

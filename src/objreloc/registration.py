@@ -50,8 +50,6 @@ ICP_D_MAX_END = 0.05
 ICP_STEP_TOL_RAD = 5e-4
 ICP_STEP_TOL_M = 5e-4
 ICP_NORMAL_ANGLE_DEG = 45.0
-# the default of RelocParams.icp_max_points; ICP_SAMPLE_POINTS caps it
-ICP_MAX_POINTS = 20000
 # ICP queries at most this many planar points of a frame, a normal-space
 # sample: 95% of a frame's points lie on the ground, which fixes only height,
 # roll and pitch. On the reloc-views workload (about 7,300 planar points a
@@ -421,11 +419,14 @@ def _cardano_smallest_eigvec(cov):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _lattice_windows(pts, sensor):
+def _lattice_windows(pts, sensor, lattice=None):
     """(N, 9) indices into pts of the points in each point's 3x3 pixel window,
-    -1 where a window pixel has no point or lies outside the image."""
+    -1 where a window pixel has no point or lies outside the image. lattice is
+    sensor.lattice_index(pts), computed here when not given."""
+    if lattice is None:
+        lattice = sensor.lattice_index(pts)
     h = sensor.height
-    u, v = np.divmod(sensor.lattice_index(pts), h)
+    u, v = np.divmod(lattice, h)
     # a one-pixel border of empty pixels keeps every window inside the grid
     grid = np.full((sensor.width + 2, h + 2), -1, dtype=np.int64)
     grid[u + 1, v + 1] = np.arange(len(pts))
@@ -433,15 +434,15 @@ def _lattice_windows(pts, sensor):
                     axis=1)
 
 
-def estimate_normals(points, sensor):
+def estimate_normals(points, sensor, lattice=None):
     """Unoriented per-point normals by PCA over each point's 3x3 pixel window.
 
     The points form an organised cloud of the sensor's pixel grid
-    (SensorParams.lattice_index), and a point's neighbourhood is the points
-    of its 3x3 pixel window, itself included. A point with fewer than three
-    neighbours in its window gets surface variation inf, so it fails any
-    planar gate: three points fit a plane exactly however noisy they are,
-    and fewer fit none.
+    (SensorParams.lattice_index, which a caller that already has it passes
+    as lattice), and a point's neighbourhood is the points of its 3x3 pixel
+    window, itself included. A point with fewer than three neighbours in its
+    window gets surface variation inf, so it fails any planar gate: three
+    points fit a plane exactly however noisy they are, and fewer fit none.
 
     Returns (normals, surface_variation) where surface_variation is the
     smallest-eigenvalue fraction lambda_min / trace of each neighbourhood
@@ -449,7 +450,7 @@ def estimate_normals(points, sensor):
     an edge and the normal is meaningless.
     """
     pts = as_points(points, "points")
-    idx = _lattice_windows(pts, sensor)
+    idx = _lattice_windows(pts, sensor, lattice)
     valid = idx >= 0
     count = valid.sum(axis=1)
     # one (N, 9) array per axis: window offsets from the window's own point,
@@ -543,7 +544,7 @@ def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose):
     return cost, -2.0 * b
 
 
-def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_MAX_POINTS, *,
+def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_SAMPLE_POINTS, *,
                        sensor):
     """Point-to-plane ICP with an added centroid-alignment term.
 
@@ -579,7 +580,10 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
     pts = as_points(frame_points, "frame_points")
     use_planes = len(pts) > 0
     if use_planes:
-        frame_normals, variation = estimate_normals(pts, sensor)
+        # the cloud is projected onto the pixel lattice once, for the normals'
+        # windows and for the sample
+        lattice = sensor.lattice_index(pts)
+        frame_normals, variation = estimate_normals(pts, sensor, lattice)
         # a normal from a patch that straddles an edge is meaningless, so the
         # 45-degree compatibility test cannot be trusted there. The gate drops
         # such patches on a noise-free frame (the exact config), where a
@@ -593,7 +597,7 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
         budget = min(max_points, ICP_SAMPLE_POINTS)
         if len(queried) > budget:
             queried = queried[normal_space_sample(
-                frame_normals[queried], sensor.lattice_index(pts[queried]), budget)]
+                frame_normals[queried], lattice[queried], budget)]
         pts, frame_normals = pts[queried], frame_normals[queried]
     cos_gate = np.cos(np.deg2rad(ICP_NORMAL_ANGLE_DEG))
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyModel, PlacementFailure
 from .geometry import RigidTransform, rotation_from_axis_angle
 from .registration import SurfaceModel
-from .validation import as_real, as_vector3, check_integer
+from .validation import as_points, as_real, as_vector3, check_integer
 
 # Categories of the pre-trained detector this pipeline abstracts over.
 CATEGORIES = ("bottle", "bowl", "camera", "can", "laptop", "mug")
@@ -207,12 +207,16 @@ def look_at(eye, target):
 
 
 def in_frustum(p_cam, sensor=DEFAULT_SENSOR):
-    """Whether a camera-frame point is inside the sensor's view frustum and range."""
-    p = as_vector3(p_cam, "p_cam")
-    if p[2] <= 1e-9 or np.linalg.norm(p) > sensor.max_range:
-        return False
+    """Whether camera-frame points are inside the sensor's view frustum and
+    range: a bool for one point, a boolean mask for an (N, 3) array."""
+    single = np.ndim(p_cam) == 1
+    p = as_vector3(p_cam, "p_cam")[None] if single else as_points(p_cam, "p_cam")
+    z = p[:, 2]
+    inside = (z > 1e-9) & (np.linalg.norm(p, axis=1) <= sensor.max_range)
+    z = np.where(inside, z, 1.0)  # no division by a zero depth
     t = sensor.tan_half_fov
-    return abs(p[0] / p[2]) <= t and abs(p[1] / p[2]) <= t * sensor.height / sensor.width
+    inside &= (np.abs(p[:, 0] / z) <= t) & (np.abs(p[:, 1] / z) <= t * sensor.height / sensor.width)
+    return bool(inside[0]) if single else inside
 
 
 def generate_scene(object_count=5, label_mix=None, seed=0, plane_height=0.0, plane_extent=1.0,

@@ -3,7 +3,8 @@ import pytest
 from scipy.stats import chi2
 
 from objreloc.detections import DetectedObject, NoiseParams, simulate_detections
-from objreloc.geometry import GaussianCentroid, OrientedBox, RigidTransform
+from objreloc.geometry import (GaussianCentroid, OrientedBox, RigidTransform,
+                               rotation_from_axis_angle)
 from objreloc.mapping import (
     CHI2_GATE_3DOF,
     Configuration,
@@ -15,6 +16,7 @@ from objreloc.mapping import (
     integrate_keyframe,
     select_or_merge_configurations,
 )
+from objreloc.oracles import configuration_from_boxes
 from objreloc.scene import (
     Scene,
     SceneObject,
@@ -96,6 +98,72 @@ class TestGateDecision:
         assert d == ()
 
 
+def random_box(rng, centre, spread):
+    """A box about centre: centroid spread per axis, orientation within 40
+    degrees of the identity, half-extents of 2 to 20 cm."""
+    return OrientedBox(centre + rng.normal(0.0, spread, 3),
+                       rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0.0, 40.0)),
+                       rng.uniform(0.02, 0.2, 3))
+
+
+def assert_matches_oracle(cfg, boxes):
+    """cfg against configuration_from_boxes(boxes): mean within 1e-11 m (about
+    100 float64 steps at 1 km), covariance within 1e-9 relative, orientation
+    within 1e-12 and extents within 1e-14 m."""
+    mean, cov, orientation, extents = configuration_from_boxes(boxes)
+    assert cfg.centroid.sample_count == len(boxes)
+    np.testing.assert_allclose(cfg.centroid.mean, mean, rtol=0.0, atol=1e-11)
+    np.testing.assert_allclose(cfg.centroid.covariance, cov, rtol=0.0,
+                               atol=1e-9 * np.abs(cov).max())
+    np.testing.assert_allclose(cfg.box.orientation, orientation, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(cfg.box.extents, extents, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(cfg.box.centroid, cfg.centroid.mean)
+
+
+class TestConfigurationStatistics:
+    """A configuration's running sums against oracles.configuration_from_boxes,
+    which recomputes it from the whole list of its boxes."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_pooling_matches_list_oracle(self, seed):
+        # centroids 1 km from the world origin and spread by 1 mm: the sums
+        # must not cancel. Each step founds a configuration or pools one to
+        # three existing ones, taken in random order, with a new box.
+        rng = np.random.default_rng(seed)
+        centre = rng.choice([-1.0, 1.0], 3) * 1e3
+        first = [random_box(rng, centre, 1e-3) for _ in range(rng.integers(1, 4))]
+        configs = [(Configuration(first), first)]
+        for _ in range(40):
+            box = random_box(rng, centre, 1e-3)
+            if rng.uniform() < 0.3:
+                configs.append((Configuration([box]), [box]))
+            else:
+                picked = rng.permutation(len(configs))[:rng.integers(1, 4)]
+                cfg = Configuration.pooled([configs[i][0] for i in picked], box)
+                boxes = [b for i in picked for b in configs[i][1]] + [box]
+                configs = [c for i, c in enumerate(configs) if i not in picked] + [(cfg, boxes)]
+            assert_matches_oracle(*configs[-1])
+        assert max(len(boxes) for _, boxes in configs) >= 8
+        for cfg, boxes in configs:
+            assert_matches_oracle(cfg, boxes)
+
+    @pytest.mark.parametrize("founder", ["identity", "flipped"])
+    def test_antipodal_pool_keeps_founding_orientation(self, founder):
+        # the identity and a half turn about x average to a rank-1 matrix
+        # with no chordal mean; the founding box's orientation stands in
+        flip = rotation_from_axis_angle([1.0, 0.0, 0.0], 180.0)
+        centre = np.array([1e3, -1e3, 1e3])
+        up = OrientedBox(centre, np.eye(3), [0.1, 0.05, 0.03])
+        down = OrientedBox(centre + [0.0, 0.0, 1e-3], flip, [0.1, 0.05, 0.03])
+        a, b = (up, down) if founder == "identity" else (down, up)
+        both = Configuration([a, b])
+        assert_matches_oracle(both, [a, b])
+        np.testing.assert_array_equal(both.box.orientation, a.orientation)
+        pooled = Configuration.pooled([Configuration([b]), both], a)
+        assert_matches_oracle(pooled, [b, a, b, a])
+        np.testing.assert_array_equal(pooled.box.orientation, b.orientation)
+
+
 def make_frame(dets, frame_id=0):
     from objreloc.detections import FrameDetections
 
@@ -159,16 +227,20 @@ class TestIntegrate:
         rng = np.random.default_rng(0)
         m = ObjectMap()
         pose = RigidTransform.identity()
+        boxes = []
         for fid in range(10):
             c = np.array([0.0, 0.0, 2.0]) + rng.normal(0, 0.01, 3)
-            integrate_keyframe(m, make_frame([cube_det("mug", c, 0.05)], fid), pose)
-        for obj in m.objects:
-            for cfg in obj.configurations:
-                np.testing.assert_allclose(
-                    cfg.centroid.mean, np.mean([b.centroid for b in cfg.observations], axis=0), atol=1e-9
-                )
-                assert np.linalg.eigvalsh(cfg.centroid.covariance)[0] >= 1e-6 * (1 - 1e-12)
-                np.testing.assert_allclose(cfg.box.centroid, cfg.centroid.mean, atol=1e-9)
+            det = cube_det("mug", c, 0.05)
+            boxes.append(det.box)
+            integrate_keyframe(m, make_frame([det], fid), pose)
+        # the ten detections pool into one configuration, whose mean the
+        # list-based oracle recomputes from all ten boxes
+        [obj] = m.objects
+        [cfg] = obj.configurations
+        assert cfg.centroid.sample_count == 10
+        np.testing.assert_allclose(cfg.centroid.mean, configuration_from_boxes(boxes)[0], atol=1e-9)
+        assert np.linalg.eigvalsh(cfg.centroid.covariance)[0] >= 1e-6 * (1 - 1e-12)
+        np.testing.assert_allclose(cfg.box.centroid, cfg.centroid.mean, atol=1e-9)
 
     def test_update_is_idempotent_at_steady_state(self):
         m = ObjectMap()

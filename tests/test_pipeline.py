@@ -365,6 +365,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"reloc\.{key}: unknown field"):
             resolve_config({"reloc": {key: value}})
 
+    def test_icp_max_points_defaults_to_the_sample_budget(self):
+        # a report that leaves it unset echoes the budget ICP actually uses
+        assert resolve_config()["reloc"]["icp_max_points"] == registration.ICP_SAMPLE_POINTS
+
     @pytest.mark.parametrize("value", [0, -5])
     def test_icp_max_points_must_be_positive(self, value):
         with pytest.raises(ConfigError, match=r"reloc\.icp_max_points: must be >= 1"):

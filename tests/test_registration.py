@@ -36,8 +36,8 @@ from objreloc.registration import (
     probabilistic_ao,
     ransac_ao,
 )
-from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, generate_scene, look_at,
-                            render_depth_points)
+from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, SensorParams, generate_scene,
+                            look_at, render_depth_points)
 
 
 def make_pairs(frame_pts, map_pts, covs=None):
@@ -408,6 +408,21 @@ class TestDepthCentroidICP:
         with pytest.raises(NoCorrespondences, match=r"^all 4 queried depth points rejected"):
             depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(),
                                sensor=DEFAULT_SENSOR)
+
+    def test_projects_the_frame_once(self, monkeypatch):
+        # the normals' windows and the normal-space sample share one lattice
+        # projection of the frame, and the sample is the same as with its own
+        frame_pts, surface = rendered_desk(DESK_VIEW)
+        want = depth_centroid_icp(frame_pts, surface, [], DESK_VIEW, 100, sensor=DEFAULT_SENSOR)
+        calls = []
+        project = SensorParams.lattice_index
+        monkeypatch.setattr(SensorParams, "lattice_index",
+                            lambda self, *a, **k: calls.append(1) or project(self, *a, **k))
+        got = depth_centroid_icp(frame_pts, surface, [], DESK_VIEW, 100, sensor=DEFAULT_SENSOR)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(got.pose.rotation, want.pose.rotation)
+        np.testing.assert_array_equal(got.pose.translation, want.pose.translation)
+        assert got.points == 100
 
     def test_points_is_the_sample_budget(self):
         frame_pts, surface = rendered_desk(DESK_VIEW)

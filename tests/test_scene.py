@@ -358,3 +358,19 @@ class TestFrustum:
         assert not in_frustum([0.0, 0.0, -1.0])
         assert not in_frustum([0.0, 0.0, 10.0])  # beyond range
         assert not in_frustum([5.0, 0.0, 1.0])  # outside fov
+
+    def test_array_is_pointwise(self):
+        # an (N, 3) array gives one decision per row, as for that row alone,
+        # with no division warning at zero or negative depth
+        sensor = SensorParams(fov_deg=60.0, width=40, height=30, max_range=3.0)
+        rng = np.random.default_rng(4)
+        near = np.column_stack([rng.uniform(-1.5, 1.5, (500, 2)), rng.uniform(-1.0, 3.5, 500)])
+        pts = np.vstack([near,
+                         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 3.1],
+                          [sensor.tan_half_fov, 0.0, 1.0]]])
+        with np.errstate(all="raise"):
+            mask = in_frustum(pts, sensor)
+        assert mask.dtype == bool and mask.shape == (len(pts),)
+        assert mask.tolist() == [in_frustum(p, sensor) for p in pts]
+        assert 50 < mask.sum() < 400
+        assert in_frustum(np.zeros((0, 3)), sensor).shape == (0,)
