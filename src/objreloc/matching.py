@@ -6,54 +6,45 @@ agreement on the diagonal and pairs of candidates by how well they preserve
 inter-centroid distances off the diagonal; conflicting candidates (sharing a
 frame object or a map object) get zero affinity. The principal eigenvector of
 that matrix ranks candidates, and a greedy pass extracts a one-to-one set.
+
+Candidates are stacked arrays, and the registration solvers take the selected
+rows of them as they are. Nothing here checks them again: every value was
+checked where it entered the program, the frame's boxes by DetectedObject
+and OrientedBox (in FrameDetections), the map's centroids by
+GaussianCentroid, and the settings by resolve_config.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_vector3
-
 SCORE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class CandidateCorrespondence:
-    """One potential frame-object-to-map-configuration match."""
+class Candidates:
+    """Candidate frame-object-to-map-configuration matches, one row each.
 
-    frame_index: int
-    map_object_index: int
-    configuration_index: int
-    frame_centroid: np.ndarray
-    map_centroid_mean: np.ndarray
-    map_centroid_cov: np.ndarray
-    frame_scale: float
-    map_scale: float
+    frame_index, map_object_index and configuration_index are (n,) ints;
+    frame_centroids (n, 3) are the frame boxes' centroids (camera frame),
+    map_means (n, 3) and map_covs (n, 3, 3) the configurations' Gaussian
+    centroids. Not checked here: OrientedBox checked the centroids and
+    GaussianCentroid the means and covariances.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "frame_centroid", as_vector3(self.frame_centroid, "frame_centroid"))
-        object.__setattr__(self, "map_centroid_mean", as_vector3(self.map_centroid_mean, "map_centroid_mean"))
-
-
-@dataclass(frozen=True)
-class CorrespondenceSet:
-    """Selected correspondences in selection order; no two share a frame
-    object or a map object."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        frames = [p.frame_index for p in self.pairs]
-        maps = [p.map_object_index for p in self.pairs]
-        if len(set(frames)) != len(frames) or len(set(maps)) != len(maps):
-            raise ValueError("correspondence set violates one-to-one mapping")
+    frame_index: np.ndarray
+    map_object_index: np.ndarray
+    configuration_index: np.ndarray
+    frame_centroids: np.ndarray
+    map_means: np.ndarray
+    map_covs: np.ndarray
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.frame_index)
 
 
 def build_adjacency(frame_objects, obj_map):
-    """Candidate list and pairwise-consistency matrix A.
+    """Candidates and pairwise-consistency matrix A.
 
     A[i, i] = min(s_f / s_m, s_m / s_f); A[i, j] = exp(-|d_f - d_m|)
     for compatible candidate pairs, 0 for conflicting ones. Distances are
@@ -61,41 +52,24 @@ def build_adjacency(frame_objects, obj_map):
     configuration means, in metres. Frame objects may be given in any rigid
     frame; only pairwise distances enter.
     """
-    candidates = []
-    for i, det in enumerate(frame_objects):
-        for j, obj in enumerate(obj_map.objects):
-            if obj.label != det.label:
-                continue
-            for k, cfg in enumerate(obj.configurations):
-                candidates.append(
-                    CandidateCorrespondence(
-                        frame_index=i,
-                        map_object_index=j,
-                        configuration_index=k,
-                        frame_centroid=det.box.centroid,
-                        map_centroid_mean=cfg.centroid.mean,
-                        map_centroid_cov=cfg.centroid.covariance,
-                        frame_scale=det.box.scale,
-                        map_scale=cfg.box.scale,
-                    )
-                )
-    n = len(candidates)
-    a = np.zeros((n, n))
-    if n == 0:
-        return candidates, a
-    fc = np.array([c.frame_centroid for c in candidates])
-    mc = np.array([c.map_centroid_mean for c in candidates])
-    sf = np.array([c.frame_scale for c in candidates])
-    sm = np.array([c.map_scale for c in candidates])
+    rows = [(i, j, k, det.box, cfg)
+            for i, det in enumerate(frame_objects)
+            for j, obj in enumerate(obj_map.objects) if obj.label == det.label
+            for k, cfg in enumerate(obj.configurations)]
+    fi, mi, ki = (np.array([r[c] for r in rows], dtype=np.int64) for c in range(3))
+    boxes = [r[3] for r in rows]
+    cfgs = [r[4] for r in rows]
+    fc = np.array([b.centroid for b in boxes]).reshape(-1, 3)
+    mc = np.array([c.centroid.mean for c in cfgs]).reshape(-1, 3)
+    covs = np.array([c.centroid.covariance for c in cfgs]).reshape(-1, 3, 3)
+    sf = np.array([b.scale for b in boxes])
+    sm = np.array([c.box.scale for c in cfgs])
     df = np.linalg.norm(fc[:, None, :] - fc[None, :, :], axis=2)
     dm = np.linalg.norm(mc[:, None, :] - mc[None, :, :], axis=2)
-    off = np.exp(-np.abs(df - dm))
-    fi = np.array([c.frame_index for c in candidates])
-    mi = np.array([c.map_object_index for c in candidates])
     compat = (fi[:, None] != fi[None, :]) & (mi[:, None] != mi[None, :])
-    a = np.where(compat, off, 0.0)
+    a = np.where(compat, np.exp(-np.abs(df - dm)), 0.0)
     np.fill_diagonal(a, np.minimum(sf / sm, sm / sf))
-    return candidates, a
+    return Candidates(fi, mi, ki, fc, mc, covs), a
 
 
 def principal_eigenvector(a):
@@ -122,15 +96,16 @@ def greedy_select(candidates, eigvec):
 
     Accept the best-scoring available candidate, drop everything conflicting
     with it, stop when the best remaining score is <= 1e-6 or no candidates
-    remain. Scores that are equal as floats resolve to the lowest candidate
-    index. Scores that tie only in exact arithmetic (symmetric candidates on
-    noise-free inputs, say) can differ in their last bits, in a way that
-    depends on the eigen-solver, so their order is not fixed.
+    remain. Returns the accepted candidates' indices, an int array in
+    selection order; no two share a frame object or a map object. Scores
+    that are equal as floats resolve to the lowest candidate index. Scores
+    that tie only in exact arithmetic (symmetric candidates on noise-free
+    inputs, say) can differ in their last bits, in a way that depends on the
+    eigen-solver, so their order is not fixed.
     """
     if len(candidates) != len(eigvec):
         raise ValueError("candidates and eigenvector lengths differ")
-    fi = np.array([c.frame_index for c in candidates])
-    mi = np.array([c.map_object_index for c in candidates])
+    fi, mi = candidates.frame_index, candidates.map_object_index
     # taken and conflicting candidates score -inf; np.argmax returns the
     # first of equal values, which is the lowest-index tie rule
     score = np.array(eigvec, dtype=np.float64)
@@ -139,7 +114,6 @@ def greedy_select(candidates, eigvec):
         best = int(np.argmax(score))
         if not score[best] > SCORE_FLOOR:
             break
-        chosen.append(candidates[best])
+        chosen.append(best)
         score[(fi == fi[best]) | (mi == mi[best])] = -np.inf
-    return CorrespondenceSet(tuple(chosen))
-
+    return np.array(chosen, dtype=np.int64)

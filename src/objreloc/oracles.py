@@ -61,9 +61,11 @@ def lattice_box_iou(b1, b2):
 def brute_force_one_to_one(candidates, scores):
     """Exhaustive maximiser of the summed score over one-to-one candidate subsets.
 
-    candidates carry .frame_index and .map_object_index; two candidates
-    conflict when they share either. Returns (best subset as a sorted tuple of
-    candidate indices, best total, second-best total over distinct subsets).
+    candidates is matching's Candidates record, whose frame_index and
+    map_object_index arrays say which frame object and which map object each
+    candidate pairs; two candidates conflict when they share either. Returns
+    (best subset as a sorted tuple of candidate indices, best total,
+    second-best total over distinct subsets).
     """
     n = len(candidates)
     if n > 20:
@@ -73,8 +75,8 @@ def brute_force_one_to_one(candidates, scores):
     second_total = -np.inf
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        frames = [candidates[i].frame_index for i in idx]
-        maps = [candidates[i].map_object_index for i in idx]
+        frames = [candidates.frame_index[i] for i in idx]
+        maps = [candidates.map_object_index[i] for i in idx]
         if len(set(frames)) != len(frames) or len(set(maps)) != len(maps):
             continue
         total = float(sum(scores[i] for i in idx))
@@ -244,7 +246,7 @@ def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):
     return best[1]
 
 
-def ransac_triple_loop(pairs, seed):
+def ransac_triple_loop(frame_pts, map_means, map_covs, seed):
     """ransac_ao as a loop that fits and scores one triple at a time.
 
     Same triples in the same order, the same per-triple fit (_fit_rigid) and
@@ -253,9 +255,8 @@ def ransac_triple_loop(pairs, seed):
     inlier residual) is strictly greater than every earlier triple's.
     Returns (inlier indices, pose); raises NoConsensus as ransac_ao does.
     """
-    n = len(pairs)
-    f = np.array([p.frame_point for p in pairs])
-    m = np.array([p.map_mean for p in pairs])
+    f, m = frame_pts, map_means
+    n = len(f)
     if comb(n, 3) <= RANSAC_MAX_ITERS:
         triples = itertools.combinations(range(n), 3)
     else:
@@ -284,7 +285,8 @@ def ransac_triple_loop(pairs, seed):
         raise NoConsensus(
             f"best hypothesis has {0 if best_score is None else best_score[0]} inliers"
         )
-    result = probabilistic_ao([pairs[i] for i in best_inliers], best_pose)
+    result = probabilistic_ao(f[best_inliers], m[best_inliers], map_covs[best_inliers],
+                              best_pose)
     return tuple(int(i) for i in best_inliers), result.pose
 
 

@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import rotation_angle_between
 from .mapping import FusionParams, ObjectMap, finalize_map, integrate_keyframe
 from .matching import build_adjacency, greedy_select, principal_eigenvector
-from .registration import ICP_SAMPLE_POINTS, WeightedPair, depth_centroid_icp, ransac_ao
+from .registration import ICP_SAMPLE_POINTS, depth_centroid_icp, ransac_ao
 from .scene import (DEFAULT_SENSOR, SURFACE_VOXEL, SensorParams, TrajectorySpec,
                     build_surface_model, generate_scene, generate_trajectory)
 from .validation import as_real, check_integer, check_nonnegative
@@ -127,13 +127,6 @@ def build_map(frames, fusion=None, sensor=DEFAULT_SENSOR, scene=None, surface_si
     return final, surface
 
 
-def _to_weighted_pairs(selected):
-    return [
-        WeightedPair(p.frame_centroid, p.map_centroid_mean, p.map_centroid_cov)
-        for p in selected.pairs
-    ]
-
-
 def relocalise(frame, obj_map, surface, params=None):
     """Relocalise one lost frame against a finalized map.
 
@@ -158,10 +151,14 @@ def relocalise(frame, obj_map, surface, params=None):
     if len(selected) < MIN_CORRESPONDENCES:
         return RelocResult(frame.frame_id, "failed", "TooFewObjects",
                            correspondences_used=len(selected), timing=timing)
-    pairs = _to_weighted_pairs(selected)
+    # the selected rows, as the arrays the solvers take; they were checked
+    # where they entered, as the frame's boxes and the map's centroids
+    frame_pts = candidates.frame_centroids[selected]
+    map_means = candidates.map_means[selected]
     t0 = time.perf_counter()
     try:
-        ao = ransac_ao(pairs, seed=params.ransac_seed)
+        ao = ransac_ao(frame_pts, map_means, candidates.map_covs[selected],
+                       seed=params.ransac_seed)
     except (NoConsensus, TooFewPairs, CollinearPoints, NonDecreasingCost) as exc:
         timing["ao_ms"] = (time.perf_counter() - t0) * 1000.0
         return RelocResult(frame.frame_id, "failed", type(exc).__name__,
@@ -172,10 +169,12 @@ def relocalise(frame, obj_map, surface, params=None):
     if params.use_icp:
         if surface is None:
             raise ValueError("use_icp requires a surface model")
-        inlier_pairs = [pairs[i] for i in ao.inliers]
+        # ao.inliers is a tuple, which as an index would address several axes
+        inliers = list(ao.inliers)
         t0 = time.perf_counter()
         try:
-            icp = depth_centroid_icp(frame.depth_points, surface, inlier_pairs, ao.pose,
+            icp = depth_centroid_icp(frame.depth_points, surface, frame_pts[inliers],
+                                     map_means[inliers], ao.pose,
                                      max_points=params.icp_max_points, sensor=frame.sensor)
         except NoCorrespondences as exc:
             timing["icp_ms"] = (time.perf_counter() - t0) * 1000.0

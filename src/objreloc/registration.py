@@ -16,6 +16,13 @@ at most ICP_SAMPLE_POINTS of them (normal_space_sample): most of a frame's
 points lie on the ground, which fixes only height, roll and pitch, and the
 sample keeps the few points whose normals fix the rest.
 
+The solvers take stacked arrays: frame points (n, 3), map means (n, 3) and
+map covariances (n, 3, 3), row i one correspondence, as matching's
+Candidates hold them. They do not check them again. Validation happens where
+data enters the program: FrameDetections and DetectedObject check a frame,
+the value types (OrientedBox, GaussianCentroid, RigidTransform) check every
+box, centroid and pose they hold, and resolve_config checks the settings.
+
 All solvers share one local parameterisation: a 6-vector delta = (dtheta, dt)
 applied multiplicatively on the left, T' = (exp([dtheta]x), dt) ∘ T.
 """
@@ -33,9 +40,9 @@ from .errors import (
     NonDecreasingCost,
     TooFewPairs,
 )
-from .geometry import COVARIANCE_FLOOR, RigidTransform, exp_so3, nearest_rotation
+from .geometry import RigidTransform, exp_so3, nearest_rotation
 from .gridnn import KDTreeIndex
-from .validation import as_points, as_vector3, check_covariance
+from .validation import as_points
 
 GN_MAX_ITERATIONS = 50
 GN_UPDATE_TOL = 1e-10
@@ -72,21 +79,6 @@ RANSAC_INLIER_M = 0.10  # centroid residual (m) below which a pair is an inlier
 # fits included; a batched score within this margin (m, and relative for
 # residual sums) of a decision leaves the decision to _fit_rigid
 RANSAC_SCREEN_M = 1e-9
-
-
-@dataclass(frozen=True)
-class WeightedPair:
-    """One correspondence: frame point (camera frame) vs map Gaussian centroid."""
-
-    frame_point: np.ndarray
-    map_mean: np.ndarray
-    map_cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame_point", as_vector3(self.frame_point, "frame_point"))
-        object.__setattr__(self, "map_mean", as_vector3(self.map_mean, "map_mean"))
-        cov = check_covariance(self.map_cov, "map_cov", sym_tol=1e-9, min_eig=COVARIANCE_FLOOR)
-        object.__setattr__(self, "map_cov", cov)
 
 
 class SurfaceModel:
@@ -130,16 +122,6 @@ class RegistrationResult:
     points: int = 0  # frame points depth_centroid_icp queried; 0 without ICP
 
 
-def _stack_points(pairs):
-    """(frame points, map means) of pairs, as two (n, 3) arrays."""
-    return np.array([p.frame_point for p in pairs]), np.array([p.map_mean for p in pairs])
-
-
-def _stack_pairs(pairs):
-    f, m = _stack_points(pairs)
-    return f, m, np.linalg.inv(np.array([p.map_cov for p in pairs]))
-
-
 def _collinear(s):
     """Rank test on the singular values (..., 3) of centred frame points."""
     return s[..., 1] <= np.maximum(s[..., 0] * 1e-8, 1e-12)
@@ -164,18 +146,18 @@ def _fit_rigid(frame_pts, map_pts):
     return rot, mc - rot @ fc
 
 
-def horn_ao(pairs):
-    """Closed-form least-squares rigid transform aligning frame points to map means.
+def horn_ao(frame_pts, map_means):
+    """Closed-form least-squares rigid transform aligning frame points to map
+    means, two (n, 3) arrays.
 
     Covariances are ignored (identity weighting); no scale is estimated.
     Raises TooFewPairs below 3 pairs and CollinearPoints when the centered
     frame points have rank < 2.
     """
-    if len(pairs) < 3:
-        raise TooFewPairs(f"horn_ao needs >= 3 pairs, got {len(pairs)}")
-    f, m = _stack_points(pairs)
-    _check_not_collinear(f)
-    rot, t = _fit_rigid(f, m)
+    if len(frame_pts) < 3:
+        raise TooFewPairs(f"horn_ao needs >= 3 pairs, got {len(frame_pts)}")
+    _check_not_collinear(frame_pts)
+    rot, t = _fit_rigid(frame_pts, map_means)
     return RigidTransform(nearest_rotation(rot), t)
 
 
@@ -217,29 +199,30 @@ def _ao_system(f, m, w, rot, t):
     return h, g, float(np.einsum("ni,nij,nj->", r, w, r))
 
 
-def ao_cost_and_gradient(pairs, pose):
+def ao_cost_and_gradient(frame_pts, map_means, map_covs, pose):
     """Cost of Mahalanobis-weighted AO at pose and its gradient in the local chart.
 
     The chart is the left-multiplicative 6-vector (dtheta, dt). Both come from
     _ao_system, the system probabilistic_ao solves, so the finite-difference
     check of the test oracles covers the solver's own gradient.
     """
-    f, m, w = _stack_pairs(pairs)
-    _, g, cost = _ao_system(f, m, w, pose.rotation, pose.translation)
+    w = np.linalg.inv(map_covs)
+    _, g, cost = _ao_system(frame_pts, map_means, w, pose.rotation, pose.translation)
     return cost, 2.0 * g
 
 
-def probabilistic_ao(pairs, init):
-    """Gauss-Newton minimiser of sum d_i(T)^T Sigma_i^{-1} d_i(T).
+def probabilistic_ao(frame_pts, map_means, map_covs, init):
+    """Gauss-Newton minimiser of sum d_i(T)^T Sigma_i^{-1} d_i(T), with
+    d_i(T) = map_means[i] - T frame_pts[i] and Sigma_i = map_covs[i].
 
     Left-multiplicative 6-parameter updates; converged when the accepted
     update's norm drops below 1e-10 or after 50 iterations. Steps that would
     increase the cost are halved up to 8 times; 5 consecutive stalled
     iterations raise NonDecreasingCost.
     """
-    if len(pairs) < 3:
-        raise TooFewPairs(f"probabilistic_ao needs >= 3 pairs, got {len(pairs)}")
-    f, m, w = _stack_pairs(pairs)
+    if len(frame_pts) < 3:
+        raise TooFewPairs(f"probabilistic_ao needs >= 3 pairs, got {len(frame_pts)}")
+    f, m, w = frame_pts, map_means, np.linalg.inv(map_covs)
     _check_not_collinear(f)
     rot = np.array(init.rotation)
     t = np.array(init.translation)
@@ -285,7 +268,7 @@ def probabilistic_ao(pairs, init):
     pose = RigidTransform(rot, t)
     return RegistrationResult(
         pose=pose,
-        inliers=tuple(range(len(pairs))),
+        inliers=tuple(range(len(f))),
         final_cost=cost,
         converged=converged,
         iterations=it,
@@ -313,7 +296,7 @@ def _fit_rigid_batch(fs, ms):
     return rot, t, s_frame
 
 
-def ransac_ao(pairs, seed=0):
+def ransac_ao(frame_pts, map_means, map_covs, seed=0):
     """RANSAC over minimal 3-correspondence sets, then probabilistic refit on inliers.
 
     All C(n,3) subsets are enumerated when that count fits in
@@ -334,10 +317,10 @@ def ransac_ao(pairs, seed=0):
     Raises NoConsensus when the best hypothesis has fewer than 3 inliers.
     The result's ransac_hypotheses is the number of hypotheses scored.
     """
-    n = len(pairs)
+    f, m = frame_pts, map_means
+    n = len(f)
     if n < 3:
         raise TooFewPairs(f"ransac_ao needs >= 3 pairs, got {n}")
-    f, m = _stack_points(pairs)
     if comb(n, 3) <= RANSAC_MAX_ITERS:
         triples = np.array(list(itertools.combinations(range(n), 3)))
     else:
@@ -372,7 +355,7 @@ def ransac_ao(pairs, seed=0):
             f"best hypothesis has {0 if best_score is None else best_score[0]} inliers"
         )
     best_inliers = np.flatnonzero(best_mask)
-    result = probabilistic_ao([pairs[i] for i in best_inliers],
+    result = probabilistic_ao(f[best_inliers], m[best_inliers], map_covs[best_inliers],
                               RigidTransform(nearest_rotation(best_pose[0]), best_pose[1]))
     return replace(result, inliers=tuple(int(i) for i in best_inliers),
                    ransac_hypotheses=int(np.count_nonzero(fitted)))
@@ -533,27 +516,28 @@ def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target):
     return h, b, plane_cost + cent_cost
 
 
-def icp_cost_and_gradient(frame_pts, map_pts, map_normals, pairs, pose):
+def icp_cost_and_gradient(frame_pts, map_pts, map_normals, frame_centroids, map_means, pose):
     """Combined ICP cost and local-chart gradient at pose for a FIXED
-    correspondence assignment. Oracle hook for finite-difference checks."""
-    y = pose.apply(np.asarray(frame_pts, dtype=np.float64).reshape(-1, 3))
-    cf = np.array([p.frame_point for p in pairs]).reshape(-1, 3)
-    cm = np.array([p.map_mean for p in pairs]).reshape(-1, 3)
-    _, b, cost = _icp_system(y, np.asarray(map_pts), np.asarray(map_normals), pose.apply(cf), cm)
+    correspondence assignment, the centroid pairs given as two (k, 3) arrays.
+    Oracle hook for finite-difference checks."""
+    _, b, cost = _icp_system(pose.apply(frame_pts), map_pts, map_normals,
+                             pose.apply(frame_centroids), map_means)
     # b is the Gauss-Newton right-hand side, minus half the cost's gradient
     return cost, -2.0 * b
 
 
-def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP_SAMPLE_POINTS, *,
-                       sensor):
+def depth_centroid_icp(frame_points, surface, frame_centroids, map_means, init,
+                       max_points=ICP_SAMPLE_POINTS, *, sensor):
     """Point-to-plane ICP with an added centroid-alignment term.
 
     Minimises  sum_L (n^T (p_map - v(p, T)))^2 + sum_D ||u_map - v(u, T)||^2
-    starting from init; per iteration the nearest surface point is assigned to
-    every queried frame point, gated by an annealed distance bound
-    (ICP_D_MAX_START to ICP_D_MAX_END, linear over ICP_ITERATIONS) and by an
-    ICP_NORMAL_ANGLE_DEG compatibility test between the frame-point normal
-    and the map normal. Both sums are raw and unweighted.
+    starting from init. D pairs the rows of frame_centroids and map_means,
+    the inlier centroids as two (k, 3) arrays. Per iteration the nearest
+    surface point is assigned to every queried frame point, gated by an
+    annealed distance bound (ICP_D_MAX_START to ICP_D_MAX_END, linear over
+    ICP_ITERATIONS) and by an ICP_NORMAL_ANGLE_DEG compatibility test between
+    the frame-point normal and the map normal. Both sums are raw and
+    unweighted.
 
     frame_points is an organised cloud of sensor's pixel grid, and frame
     normals come from each point's 3x3 pixel window (estimate_normals), on
@@ -572,8 +556,8 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
     such a step at the final gate stops unconverged after ICP_ITERATIONS.
 
     An empty depth cloud leaves the centroid term alone, and no inlier pairs
-    leave the plane term alone. Raises NoCorrespondences when depth points
-    are given and every queried point is rejected at some iteration. The
+    (k = 0) leave the plane term alone. Raises NoCorrespondences when depth
+    points are given and every queried point is rejected at some iteration. The
     diverged flag reports a final cost above initial cost *
     (1 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL.
     """
@@ -600,9 +584,6 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
                 frame_normals[queried], lattice[queried], budget)]
         pts, frame_normals = pts[queried], frame_normals[queried]
     cos_gate = np.cos(np.deg2rad(ICP_NORMAL_ANGLE_DEG))
-
-    cent_f = np.array([p.frame_point for p in inlier_pairs]) if inlier_pairs else np.zeros((0, 3))
-    cent_m = np.array([p.map_mean for p in inlier_pairs]) if inlier_pairs else np.zeros((0, 3))
 
     rot = np.array(init.rotation)
     t = np.array(init.translation)
@@ -634,8 +615,7 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
             yk = np.zeros((0, 3))
             qk = yk
             nk = yk
-        cy = cent_f @ rot.T + t if len(cent_f) else np.zeros((0, 3))
-        h, b, cost = _icp_system(yk, qk, nk, cy, cent_m)
+        h, b, cost = _icp_system(yk, qk, nk, frame_centroids @ rot.T + t, map_means)
         if initial_cost is None:
             initial_cost = cost
         delta = np.linalg.lstsq(h, b, rcond=None)[0]
@@ -650,12 +630,12 @@ def depth_centroid_icp(frame_points, surface, inlier_pairs, init, max_points=ICP
             at_final_gate = True
     # cost after the final update, on the final correspondence set
     yk_fin = pts[acc_idx] @ rot.T + t if use_planes else yk
-    final_cost = _icp_system(yk_fin, qk, nk, cent_f @ rot.T + t, cent_m)[2]
+    final_cost = _icp_system(yk_fin, qk, nk, frame_centroids @ rot.T + t, map_means)[2]
     diverged = initial_cost is not None and final_cost > (
         initial_cost * (1.0 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL)
     return RegistrationResult(
         pose=RigidTransform(rot, t),
-        inliers=tuple(range(len(inlier_pairs))),
+        inliers=tuple(range(len(frame_centroids))),
         final_cost=final_cost,
         converged=converged,
         iterations=it,

@@ -1,22 +1,31 @@
 import numpy as np
-import pytest
 
-from objreloc.detections import DetectedObject
+from objreloc.detections import DetectedObject, FrameDetections
 from objreloc.geometry import OrientedBox, RigidTransform, rotation_from_axis_angle
 from objreloc.mapping import Configuration, MapObject, ObjectMap
-from objreloc.matching import (
-    CandidateCorrespondence,
-    CorrespondenceSet,
-    build_adjacency,
-    greedy_select,
-    principal_eigenvector,
-)
+from objreloc.matching import Candidates, build_adjacency, greedy_select, principal_eigenvector
 from objreloc.oracles import brute_force_one_to_one
+from objreloc.pipeline import relocalise
 
 
 def det(label, center, scale_half=0.05):
     box = OrientedBox(np.array(center, dtype=float), np.eye(3), [scale_half] * 3)
     return DetectedObject(label, box)
+
+
+def candidates(*indices):
+    """Candidates of the given (frame index, map object index) pairs, each
+    the only configuration of its map object, with placeholder geometry."""
+    n = len(indices)
+    fi, mi = np.array(indices, dtype=np.int64).reshape(n, 2).T
+    return Candidates(fi, mi, np.zeros(n, dtype=np.int64), np.zeros((n, 3)), np.zeros((n, 3)),
+                      np.tile(np.eye(3), (n, 1, 1)))
+
+
+def rows(cands, selected):
+    """(frame, map object, configuration) index triples of the selected candidates."""
+    return [(int(cands.frame_index[i]), int(cands.map_object_index[i]),
+             int(cands.configuration_index[i])) for i in selected]
 
 
 def map_of(dets):
@@ -67,7 +76,17 @@ class TestBuildAdjacency:
     def test_empty_candidates(self):
         m = map_of([det("mug", (0, 0, 0))])
         cands, a = build_adjacency([det("bowl", (0, 0, 0))], m)
-        assert cands == [] and a.shape == (0, 0)
+        assert len(cands) == 0 and a.shape == (0, 0)
+        for index in (cands.frame_index, cands.map_object_index, cands.configuration_index):
+            assert index.shape == (0,) and index.dtype.kind == "i"
+        assert cands.frame_centroids.shape == (0, 3) and cands.map_means.shape == (0, 3)
+        assert cands.map_covs.shape == (0, 3, 3)
+        eigvec, _ = principal_eigenvector(a)
+        selected = greedy_select(cands, eigvec)
+        assert selected.shape == (0,) and selected.dtype.kind == "i"
+        # such a frame is a decline, not an exception
+        res = relocalise(FrameDetections(7, [det("bowl", (0, 0, 0))]), m, None)
+        assert (res.status, res.reason, res.correspondences_used) == ("failed", "TooFewObjects", 0)
 
     def test_uniform_scaling_preserves_diagonal(self):
         m1 = map_of([det("mug", (0, 0, 0), 0.05)])
@@ -117,44 +136,35 @@ class TestPrincipalEigenvector:
 
 class TestGreedySelect:
     def test_singleton(self):
-        c = CandidateCorrespondence(0, 0, 0, np.zeros(3), np.zeros(3), np.eye(3), 1.0, 1.0)
-        out = greedy_select([c], np.array([0.9]))
-        assert len(out) == 1
+        out = greedy_select(candidates((0, 0)), np.array([0.9]))
+        assert out.tolist() == [0]
 
     def test_conflict_exclusivity(self):
-        c0 = CandidateCorrespondence(0, 0, 0, np.zeros(3), np.zeros(3), np.eye(3), 1.0, 1.0)
-        c1 = CandidateCorrespondence(0, 1, 0, np.zeros(3), np.ones(3), np.eye(3), 1.0, 1.0)
-        out = greedy_select([c0, c1], np.array([0.9, 0.4]))
-        assert len(out) == 1
-        assert out.pairs[0].map_object_index == 0
+        out = greedy_select(candidates((0, 0), (0, 1)), np.array([0.9, 0.4]))
+        assert out.tolist() == [0]
 
     def test_score_floor_stops(self):
-        c0 = CandidateCorrespondence(0, 0, 0, np.zeros(3), np.zeros(3), np.eye(3), 1.0, 1.0)
-        c1 = CandidateCorrespondence(1, 1, 0, np.zeros(3), np.ones(3), np.eye(3), 1.0, 1.0)
-        out = greedy_select([c0, c1], np.array([0.9, 1e-8]))
-        assert len(out) == 1
+        out = greedy_select(candidates((0, 0), (1, 1)), np.array([0.9, 1e-8]))
+        assert out.tolist() == [0]
 
-    def test_one_to_one_invariant_enforced(self):
-        c0 = CandidateCorrespondence(0, 0, 0, np.zeros(3), np.zeros(3), np.eye(3), 1.0, 1.0)
-        c1 = CandidateCorrespondence(0, 1, 0, np.zeros(3), np.ones(3), np.eye(3), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            CorrespondenceSet((c0, c1 ,))
-        with pytest.raises(ValueError):
-            CorrespondenceSet(
-                (c0, CandidateCorrespondence(1, 0, 0, np.zeros(3), np.ones(3), np.eye(3), 1, 1)),
-            )
+    def test_selection_is_one_to_one(self):
+        # every frame object against every map object, scored so that the
+        # best candidates share a frame object or a map object
+        cands = candidates(*[(f, m) for f in range(4) for m in range(5)])
+        scores = np.random.default_rng(3).uniform(0.1, 1.0, len(cands))
+        scores[[0, 1, 5, 10]] = [0.99, 0.98, 0.97, 0.96]  # (0, 0), (0, 1), (1, 0), (2, 0)
+        out = greedy_select(cands, scores)
+        assert out.dtype.kind == "i" and len(out) == 4 and out[0] == 0
+        assert len(set(cands.frame_index[out])) == len(out)
+        assert len(set(cands.map_object_index[out])) == len(out)
+        assert not {1, 5, 10} & set(out.tolist())
 
     def test_equal_scores_select_lowest_index(self):
-        def cand(frame_index, map_index):
-            return CandidateCorrespondence(frame_index, map_index, 0, np.zeros(3), np.zeros(3),
-                                           np.eye(3), 1.0, 1.0)
-
         # candidate 0 conflicts with none of the others and scores lower; 1, 2
         # and 3 tie exactly, and 2 and 3 each conflict with 1
-        cands = [cand(0, 0), cand(1, 1), cand(1, 2), cand(2, 1)]
+        cands = candidates((0, 0), (1, 1), (1, 2), (2, 1))
         out = greedy_select(cands, np.array([0.5, 0.8, 0.8, 0.8]))
-        assert len(out) == 2
-        assert out.pairs[0] is cands[1] and out.pairs[1] is cands[0]
+        assert out.tolist() == [1, 0]
 
     def test_four_objects_with_decoy(self):
         centers = np.array([[0.4, 0.0, 0.05], [-0.3, 0.2, 0.08], [0.1, -0.4, 0.04], [-0.1, -0.1, 0.12]])
@@ -168,10 +178,10 @@ class TestGreedySelect:
         eigvec, _ = principal_eigenvector(a)
         out = greedy_select(cands, eigvec)
         assert len(out) == 4
-        chosen = {(p.frame_index, p.map_object_index) for p in out.pairs}
+        chosen = {(f, m) for f, m, _ in rows(cands, out)}
         assert chosen == {(0, 0), (1, 1), (2, 2), (3, 3)}
         oracle_set, best, second = brute_force_one_to_one(cands, eigvec)
-        assert {(cands[i].frame_index, cands[i].map_object_index) for i in oracle_set} == chosen
+        assert {(f, m) for f, m, _ in rows(cands, oracle_set)} == chosen
 
 
 def random_instance(rng):
@@ -212,13 +222,15 @@ class TestAgainstBruteForce:
                 continue
             eigvec, _ = principal_eigenvector(a)
             out = greedy_select(cands, eigvec)
+            # no frame object and no map object is selected twice
+            assert len(set(cands.frame_index[out])) == len(out)
+            assert len(set(cands.map_object_index[out])) == len(out)
             oracle_set, best, second = brute_force_one_to_one(cands, eigvec)
             if best - second <= 1e-6:
                 continue
             checked += 1
-            got = {(cands[i].frame_index, cands[i].map_object_index, cands[i].configuration_index)
-                   for i in oracle_set}
-            sel = {(p.frame_index, p.map_object_index, p.configuration_index) for p in out.pairs}
+            got = set(rows(cands, oracle_set))
+            sel = set(rows(cands, out))
             assert sel == got, f"greedy {sel} != oracle {got}"
         assert checked == 100
 
@@ -248,6 +260,4 @@ class TestRigidInvariance:
             assert np.abs(a0 - a1).max() < 1e-9
             s0 = greedy_select(c0, principal_eigenvector(a0)[0])
             s1 = greedy_select(c1, principal_eigenvector(a1)[0])
-            assert [
-                (p.frame_index, p.map_object_index, p.configuration_index) for p in s0.pairs
-            ] == [(p.frame_index, p.map_object_index, p.configuration_index) for p in s1.pairs]
+            assert rows(c0, s0) == rows(c1, s1)

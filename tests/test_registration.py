@@ -23,7 +23,6 @@ from objreloc.registration import (
     RANSAC_MAX_ITERS,
     RegistrationResult,
     SurfaceModel,
-    WeightedPair,
     _apply_delta,
     _fit_rigid,
     _icp_system,
@@ -41,9 +40,15 @@ from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, SensorParams, ge
 
 
 def make_pairs(frame_pts, map_pts, covs=None):
+    """(frame points, map means, map covariances) stacked as the solvers take
+    them; identity covariances unless covs is given."""
     if covs is None:
         covs = [np.eye(3)] * len(frame_pts)
-    return [WeightedPair(f, m, c) for f, m, c in zip(frame_pts, map_pts, covs)]
+    return np.asarray(frame_pts, dtype=float), np.asarray(map_pts, dtype=float), np.array(covs)
+
+
+# no centroid pairs: depth_centroid_icp aligns the depth points alone
+NO_CENTROIDS = (np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def random_pose(rng, t_span=1.0):
@@ -63,7 +68,7 @@ def pose_error(a, b):
 class TestHornAO:
     def test_already_aligned(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-        t = horn_ao(make_pairs(pts, pts))
+        t = horn_ao(pts, pts)
         assert np.abs(t.rotation - np.eye(3)).max() < 1e-12
         assert np.abs(t.translation).max() < 1e-12
 
@@ -71,7 +76,7 @@ class TestHornAO:
         rng = np.random.default_rng(0)
         map_pts = rng.uniform(-1, 1, (5, 3))
         frame_pts = map_pts - np.array([1.0, 0.0, 0.0])
-        t = horn_ao(make_pairs(frame_pts, map_pts))
+        t = horn_ao(frame_pts, map_pts)
         np.testing.assert_allclose(t.translation, [1, 0, 0], atol=1e-12)
         np.testing.assert_allclose(t.rotation, np.eye(3), atol=1e-12)
 
@@ -80,7 +85,7 @@ class TestHornAO:
         gt = RigidTransform(rotation_from_axis_angle([0, 0, 1], 90.0), [0.3, -0.2, 0.1])
         frame_pts = rng.uniform(-1, 1, (4, 3))
         map_pts = frame_pts @ gt.rotation.T + gt.translation
-        t = horn_ao(make_pairs(frame_pts, map_pts))
+        t = horn_ao(frame_pts, map_pts)
         assert np.linalg.norm(t.translation - gt.translation) < 1e-9
         assert np.abs(t.rotation - gt.rotation).max() < 1e-9
 
@@ -93,18 +98,18 @@ class TestHornAO:
             if np.linalg.svd(frame_pts - frame_pts.mean(0), compute_uv=False)[1] < 1e-3:
                 continue
             map_pts = frame_pts @ gt.rotation.T + gt.translation
-            t = horn_ao(make_pairs(frame_pts, map_pts))
+            t = horn_ao(frame_pts, map_pts)
             assert np.linalg.norm(t.translation - gt.translation) < 1e-9
             assert np.abs(t.rotation - gt.rotation).max() < 1e-9
 
     def test_too_few(self):
         with pytest.raises(TooFewPairs):
-            horn_ao(make_pairs(np.zeros((2, 3)), np.zeros((2, 3))))
+            horn_ao(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_collinear(self):
         line = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], dtype=float)
         with pytest.raises(CollinearPoints):
-            horn_ao(make_pairs(line, line + [0, 1, 0]))
+            horn_ao(line, line + [0, 1, 0])
 
     def test_equivariance(self):
         rng = np.random.default_rng(3)
@@ -113,9 +118,9 @@ class TestHornAO:
             g = random_pose(rng)
             frame_pts = rng.uniform(-1, 1, (6, 3))
             map_pts = frame_pts @ gt.rotation.T + gt.translation
-            t0 = horn_ao(make_pairs(frame_pts, map_pts))
+            t0 = horn_ao(frame_pts, map_pts)
             moved = frame_pts @ g.rotation.T + g.translation
-            t1 = horn_ao(make_pairs(moved, map_pts))
+            t1 = horn_ao(moved, map_pts)
             want = compose(t0, g.inverse())
             assert np.linalg.norm(t1.translation - want.translation) < 1e-9
             assert np.abs(t1.rotation - want.rotation).max() < 1e-9
@@ -127,9 +132,8 @@ class TestProbabilisticAO:
         gt = random_pose(rng)
         frame_pts = rng.uniform(-1, 1, (6, 3))
         map_pts = frame_pts @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, (6, 3))
-        pairs = make_pairs(frame_pts, map_pts)
-        th = horn_ao(pairs)
-        res = probabilistic_ao(pairs, th)
+        th = horn_ao(frame_pts, map_pts)
+        res = probabilistic_ao(*make_pairs(frame_pts, map_pts), th)
         assert np.linalg.norm(res.pose.translation - th.translation) < 1e-8
         assert np.abs(res.pose.rotation - th.rotation).max() < 1e-8
 
@@ -143,7 +147,7 @@ class TestProbabilisticAO:
             for _ in range(5):
                 a = rng.normal(size=(3, 3))
                 covs.append(a @ a.T * 1e-3 + np.eye(3) * 1e-4)
-            res = probabilistic_ao(make_pairs(frame_pts, map_pts, covs), horn_ao(make_pairs(frame_pts, map_pts)))
+            res = probabilistic_ao(*make_pairs(frame_pts, map_pts, covs), horn_ao(frame_pts, map_pts))
             assert np.linalg.norm(res.pose.translation - gt.translation) < 1e-8
             assert np.abs(res.pose.rotation - gt.rotation).max() < 1e-8
             assert res.final_cost < 1e-16
@@ -158,9 +162,8 @@ class TestProbabilisticAO:
             covs = [cov] * 5
             noise = rng.multivariate_normal(np.zeros(3), cov, size=5)
             map_pts = frame_pts @ gt.rotation.T + gt.translation + noise
-            pairs = make_pairs(frame_pts, map_pts, covs)
-            init = horn_ao(pairs)
-            res = probabilistic_ao(pairs, init)
+            init = horn_ao(frame_pts, map_pts)
+            res = probabilistic_ao(*make_pairs(frame_pts, map_pts, covs), init)
             assert res.final_cost <= weighted_ao_cost(
                 np.zeros(6), init.rotation, init.translation,
                 frame_pts, map_pts, np.array([np.linalg.inv(c) for c in covs]),
@@ -182,8 +185,7 @@ class TestProbabilisticAO:
             for _ in range(5):
                 a = rng.normal(size=(3, 3))
                 covs.append(a @ a.T * 0.1 + np.eye(3) * 0.01)
-            pairs = make_pairs(frame_pts, map_pts, covs)
-            _, grad = ao_cost_and_gradient(pairs, pose)
+            _, grad = ao_cost_and_gradient(*make_pairs(frame_pts, map_pts, covs), pose)
 
             def cost_fn(xi):
                 r, t = _apply_delta(xi, pose.rotation, pose.translation)
@@ -202,7 +204,7 @@ class TestRansacAO:
         gt = random_pose(rng)
         frame_pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
         map_pts = frame_pts @ gt.rotation.T + gt.translation
-        res = ransac_ao(make_pairs(frame_pts, map_pts))
+        res = ransac_ao(*make_pairs(frame_pts, map_pts))
         assert res.inliers == (0, 1, 2)
         terr, rerr = pose_error(res.pose, gt)
         assert terr < 1e-9 and rerr < 1e-8
@@ -214,7 +216,7 @@ class TestRansacAO:
         map_pts = frame_pts @ gt.rotation.T + gt.translation
         map_pts[1] += [1.0, 0.3, -0.5]
         map_pts[4] += [-0.8, 1.0, 0.2]
-        res = ransac_ao(make_pairs(frame_pts, map_pts))
+        res = ransac_ao(*make_pairs(frame_pts, map_pts))
         assert set(res.inliers) == {0, 2, 3, 5}
         oracle = exhaustive_ransac_triples(frame_pts, map_pts, _fit_rigid, RANSAC_INLIER_M)
         assert set(res.inliers) == set(oracle)
@@ -226,7 +228,7 @@ class TestRansacAO:
             gt = random_pose(rng, t_span=0.5)
             frame_pts = rng.uniform(-1, 1, (10, 3))
             map_pts = frame_pts @ gt.rotation.T + gt.translation + rng.normal(0, 0.005, (10, 3))
-            res = ransac_ao(make_pairs(frame_pts, map_pts))
+            res = ransac_ao(*make_pairs(frame_pts, map_pts))
             terr, rerr = pose_error(res.pose, gt)
             if terr < 0.02 and rerr < 2.0:
                 hits += 1
@@ -237,7 +239,7 @@ class TestRansacAO:
         frame_pts = rng.uniform(-1, 1, (4, 3))
         map_pts = rng.uniform(50, 60, (4, 3)) * np.array([[1], [-1], [1], [-1]])
         with pytest.raises(NoConsensus, match="best hypothesis has 0 inliers"):
-            ransac_ao(make_pairs(frame_pts, map_pts))
+            ransac_ao(*make_pairs(frame_pts, map_pts))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -245,8 +247,8 @@ class TestRansacAO:
         frame_pts = rng.uniform(-1, 1, (8, 3))
         map_pts = frame_pts @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, (8, 3))
         pairs = make_pairs(frame_pts, map_pts)
-        r1 = ransac_ao(pairs)
-        r2 = ransac_ao(pairs)
+        r1 = ransac_ao(*pairs)
+        r2 = ransac_ao(*pairs)
         assert r1.inliers == r2.inliers
         assert np.array_equal(r1.pose.rotation, r2.pose.rotation)
         assert np.array_equal(r1.pose.translation, r2.pose.translation)
@@ -255,7 +257,7 @@ class TestRansacAO:
         frame_pts = np.outer(np.arange(5.0), [0.3, -0.2, 0.1]) + [0.5, 0.2, 1.5]
         map_pts = np.random.default_rng(12).uniform(-1, 1, (5, 3))
         with pytest.raises(NoConsensus, match="best hypothesis has 0 inliers"):
-            ransac_ao(make_pairs(frame_pts, map_pts))
+            ransac_ao(*make_pairs(frame_pts, map_pts))
 
     @pytest.mark.parametrize("n", [*range(3, 16), 16, 20])
     def test_batched_matches_triple_loop(self, n):
@@ -265,12 +267,12 @@ class TestRansacAO:
             pairs = make_pairs(frame_pts, map_pts)
             for seed in (0, n):
                 try:
-                    inliers, pose = ransac_triple_loop(pairs, seed)
+                    inliers, pose = ransac_triple_loop(*pairs, seed)
                 except NoConsensus as exc:
                     with pytest.raises(NoConsensus, match=f"^{exc}$"):
-                        ransac_ao(pairs, seed)
+                        ransac_ao(*pairs, seed)
                     continue
-                res = ransac_ao(pairs, seed)
+                res = ransac_ao(*pairs, seed)
                 assert res.inliers == inliers, case
                 assert np.array_equal(res.pose.rotation, pose.rotation), case
                 assert np.array_equal(res.pose.translation, pose.translation), case
@@ -333,8 +335,7 @@ class TestDepthCentroidICP:
         frame_pts, surface = rendered_desk(gt)
         cents_w = np.array([[0.3, 0.2, 0.05], [-0.4, -0.1, 0.08], [0.0, 0.5, 0.0]])
         cents_f = gt.inverse().apply(cents_w)
-        pairs = make_pairs(cents_f, cents_w, [np.eye(3) * 1e-4] * 3)
-        res = depth_centroid_icp(frame_pts, surface, pairs, gt, sensor=DEFAULT_SENSOR)
+        res = depth_centroid_icp(frame_pts, surface, cents_f, cents_w, gt, sensor=DEFAULT_SENSOR)
         terr, rerr = pose_error(res.pose, gt)
         assert terr < 1e-9 and rerr < 1e-9
         assert res.final_cost < 1e-12
@@ -345,9 +346,8 @@ class TestDepthCentroidICP:
         frame_pts, surface = rendered_desk(gt)
         cents_w = np.array([[0.3, 0.2, 0.05], [-0.4, -0.1, 0.08], [0.5, -0.5, 0.0]])
         cents_f = gt.inverse().apply(cents_w)
-        pairs = make_pairs(cents_f, cents_w, [np.eye(3) * 1e-4] * 3)
         init = compose(RigidTransform(rotation_from_axis_angle([0, 0, 1], 3.0), [0.03, -0.02, 0.01]), gt)
-        res = depth_centroid_icp(frame_pts, surface, pairs, init, sensor=DEFAULT_SENSOR)
+        res = depth_centroid_icp(frame_pts, surface, cents_f, cents_w, init, sensor=DEFAULT_SENSOR)
         terr, rerr = pose_error(res.pose, gt)
         assert terr < 2e-3 and rerr < 0.2
 
@@ -358,10 +358,10 @@ class TestDepthCentroidICP:
         frame_pts = rng.uniform(-0.5, 0.5, (50, 3))
         cents_f = rng.uniform(-0.8, 0.8, (5, 3))
         cents_w = cents_f @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, (5, 3))
-        pairs = make_pairs(cents_f, cents_w)
-        init = horn_ao(pairs)
-        icp = depth_centroid_icp(np.zeros((0, 3)), surface, pairs, init, sensor=DEFAULT_SENSOR)
-        ao = probabilistic_ao(pairs, init)
+        init = horn_ao(cents_f, cents_w)
+        icp = depth_centroid_icp(np.zeros((0, 3)), surface, cents_f, cents_w, init,
+                                 sensor=DEFAULT_SENSOR)
+        ao = probabilistic_ao(*make_pairs(cents_f, cents_w), init)
         terr, rerr = pose_error(icp.pose, ao.pose)
         assert terr < 1e-6
 
@@ -378,12 +378,12 @@ class TestDepthCentroidICP:
         # in-plane displacement is invisible to the plane term and fixed by
         # the centroid term
         init = compose(RigidTransform(rotation_from_axis_angle([0, 0, 1], 2.0), [0.04, -0.03, 0.0]), gt)
-        res0 = depth_centroid_icp(frame_pts, surface, [], init, sensor=DEFAULT_SENSOR)
+        res0 = depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, init, sensor=DEFAULT_SENSOR)
         terr0, rerr0 = pose_error(res0.pose, gt)
         assert terr0 > 0.01  # still displaced in the plane
         cents_w = np.array([[0.5, 0.0, 0.0], [-0.3, 0.4, 0.0], [0.1, -0.6, 0.0]])
-        pairs = make_pairs(gt.inverse().apply(cents_w), cents_w, [np.eye(3) * 1e-4] * 3)
-        res1 = depth_centroid_icp(frame_pts, surface, pairs, init, sensor=DEFAULT_SENSOR)
+        res1 = depth_centroid_icp(frame_pts, surface, gt.inverse().apply(cents_w), cents_w, init,
+                                  sensor=DEFAULT_SENSOR)
         terr1, rerr1 = pose_error(res1.pose, gt)
         assert terr1 < 1e-4 and rerr1 < 0.01
 
@@ -394,7 +394,7 @@ class TestDepthCentroidICP:
         u, v = np.meshgrid([80, 81], [60, 61], indexing="ij")
         frame_pts = 5.0 * np.column_stack([(u.ravel() - cx) / f, (v.ravel() - cy) / f, np.ones(4)])
         with pytest.raises(NoCorrespondences):
-            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(),
+            depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, RigidTransform.identity(),
                                sensor=DEFAULT_SENSOR)
 
     def test_no_correspondences_counts_queried_points(self):
@@ -406,19 +406,21 @@ class TestDepthCentroidICP:
         u, v = np.append(u.ravel(), 20), np.append(v.ravel(), 20)
         frame_pts = 5.0 * np.column_stack([(u - cx) / f, (v - cy) / f, np.ones(5)])
         with pytest.raises(NoCorrespondences, match=r"^all 4 queried depth points rejected"):
-            depth_centroid_icp(frame_pts, surface, [], RigidTransform.identity(),
+            depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, RigidTransform.identity(),
                                sensor=DEFAULT_SENSOR)
 
     def test_projects_the_frame_once(self, monkeypatch):
         # the normals' windows and the normal-space sample share one lattice
         # projection of the frame, and the sample is the same as with its own
         frame_pts, surface = rendered_desk(DESK_VIEW)
-        want = depth_centroid_icp(frame_pts, surface, [], DESK_VIEW, 100, sensor=DEFAULT_SENSOR)
+        want = depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, DESK_VIEW, 100,
+                                  sensor=DEFAULT_SENSOR)
         calls = []
         project = SensorParams.lattice_index
         monkeypatch.setattr(SensorParams, "lattice_index",
                             lambda self, *a, **k: calls.append(1) or project(self, *a, **k))
-        got = depth_centroid_icp(frame_pts, surface, [], DESK_VIEW, 100, sensor=DEFAULT_SENSOR)
+        got = depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, DESK_VIEW, 100,
+                                 sensor=DEFAULT_SENSOR)
         assert len(calls) == 1
         np.testing.assert_array_equal(got.pose.rotation, want.pose.rotation)
         np.testing.assert_array_equal(got.pose.translation, want.pose.translation)
@@ -431,17 +433,17 @@ class TestDepthCentroidICP:
         assert planar > ICP_SAMPLE_POINTS
         for max_points, want in ((100, 100), (ICP_SAMPLE_POINTS, ICP_SAMPLE_POINTS),
                                  (10 * planar, ICP_SAMPLE_POINTS)):
-            res = depth_centroid_icp(frame_pts, surface, [], DESK_VIEW, max_points,
+            res = depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, DESK_VIEW, max_points,
                                      sensor=DEFAULT_SENSOR)
             assert res.points == want
             assert pose_error(res.pose, DESK_VIEW)[0] < 1e-9
         few = frame_pts[:1000]
-        res = depth_centroid_icp(few, surface, [], DESK_VIEW, sensor=DEFAULT_SENSOR)
+        res = depth_centroid_icp(few, surface, *NO_CENTROIDS, DESK_VIEW, sensor=DEFAULT_SENSOR)
         _, variation = estimate_normals(few, DEFAULT_SENSOR)
         assert res.points == np.count_nonzero(
             variation <= max(50.0 * np.median(variation), 1e-10)) > 0
-        assert depth_centroid_icp(np.zeros((0, 3)), surface, make_pairs(
-            np.eye(3), np.eye(3)), DESK_VIEW, sensor=DEFAULT_SENSOR).points == 0
+        assert depth_centroid_icp(np.zeros((0, 3)), surface, np.eye(3), np.eye(3), DESK_VIEW,
+                                  sensor=DEFAULT_SENSOR).points == 0
 
     def test_icp_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -457,13 +459,12 @@ class TestDepthCentroidICP:
             fp, mp, mn = raw[keep], surface.points[idx[keep]], surface.normals[idx[keep]]
             cents_f = rng.uniform(-0.5, 0.5, (4, 3))
             cents_m = cents_f + rng.normal(0, 0.05, (4, 3))
-            pairs = make_pairs(cents_f, cents_m)
-            _, grad = icp_cost_and_gradient(fp, mp, mn, pairs, pose)
+            _, grad = icp_cost_and_gradient(fp, mp, mn, cents_f, cents_m, pose)
 
             def cost_fn(xi):
                 r, t = _apply_delta(xi, pose.rotation, pose.translation)
                 p2 = RigidTransform(r, t)
-                c, _ = icp_cost_and_gradient(fp, mp, mn, pairs, p2)
+                c, _ = icp_cost_and_gradient(fp, mp, mn, cents_f, cents_m, p2)
                 return c
 
             fd = numerical_gradient(cost_fn)

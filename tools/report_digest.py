@@ -1,15 +1,23 @@
-"""Print the sha256 and accuracy of each shipped config's benchmark report,
-with and without ICP.
+"""Print the sha256 and accuracy of each config's benchmark report, with and
+without ICP.
 
-Runs run_benchmark on every JSON config in a configs directory, once as
-shipped and once with reloc.use_icp set to false (the AO-only pipeline), and
-prints one row per run: the config, sha256(canonical_json()), the success
-rate at each threshold, and the median translation (mm) and rotation (deg)
-errors and the largest translation error (mm) over the frames with a pose.
+Runs run_benchmark on every JSON config in each configs directory given, in
+the order given, once as shipped and once with reloc.use_icp set to false
+(the AO-only pipeline), and prints one row per run: the config,
+sha256(canonical_json()), the success rate at each threshold, and the
+median translation (mm) and rotation (deg) errors and the largest
+translation error (mm) over the frames with a pose.
 A change that should not move any number leaves every row as it was; one
 that trades accuracy shows the trade on every config with and without ICP.
 
-    PYTHONPATH=src python tools/report_digest.py [configs directory, default src/objreloc/configs]
+    PYTHONPATH=src python tools/report_digest.py [configs directory ...]
+
+The default is src/objreloc/configs. The shipped configs and the benchmark's
+workloads together:
+
+    PYTHONPATH=src python tools/report_digest.py src/objreloc/configs perfbench/workloads
+
+The configs are only read.
 """
 
 import hashlib
@@ -34,8 +42,8 @@ def accuracy(doc):
 
 
 def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else "src/objreloc/configs")
-    for path in sorted(root.glob("*.json")):
+    roots = [Path(a) for a in argv[1:]] or [Path("src/objreloc/configs")]
+    for path in (path for root in roots for path in sorted(root.glob("*.json"))):
         cfg = json.loads(path.read_text(encoding="utf-8"))
         ao_only = {**cfg, "reloc": {**cfg.get("reloc", {}), "use_icp": False}}
         for name, run_cfg in ((path.stem, cfg), (f"{path.stem}+ao-only", ao_only)):
