@@ -86,7 +86,7 @@ class SurfaceModel:
 
     Immutable after construction; nearest-neighbour queries are exact and
     read-only, so one model can be shared across concurrent relocalisation
-    workers.
+    workers. A query runs on its caller's thread (gridnn).
     """
 
     def __init__(self, points, normals):
@@ -364,8 +364,13 @@ def ransac_ao(frame_pts, map_means, map_covs, seed=0):
 def _cardano_smallest_eigvec(cov):
     """Smallest-eigenvalue eigenvector of each symmetric 3x3 in a batch.
 
-    Closed-form (Cardano) eigenvalues, eigenvector from the cross product of
-    two rows of (C - lambda I); falls back to eigh for near-degenerate cases.
+    Closed-form (Cardano) eigenvalues, eigenvector from the largest of the
+    cross products of two rows of (C - lambda I), the first on ties; falls
+    back to eigh where even that one is shorter than 1e-12. Reads the upper
+    triangle of cov and works on its six entries as (N,) arrays, operation
+    for operation as the (N, 3, 3) form: off the diagonal it subtracts
+    q * 0.0 and lam_min * 0.0, as (C - x I) does, which keeps the sign of a
+    zero entry.
     """
     a = cov[:, 0, 0]
     b = cov[:, 1, 1]
@@ -377,29 +382,37 @@ def _cardano_smallest_eigvec(cov):
     q = (a + b + c) / 3.0
     p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * p1
     p = np.sqrt(np.maximum(p2 / 6.0, 1e-300))
-    bm = (cov - q[:, None, None] * np.eye(3)) / p[:, None, None]
+    # B = (C - q I) / p, and det B by cofactors along its first row
+    q_off = q * 0.0
+    b00, b11, b22 = (a - q) / p, (b - q) / p, (c - q) / p
+    b01, b12, b02 = (d - q_off) / p, (e - q_off) / p, (fo - q_off) / p
     detb = (
-        bm[:, 0, 0] * (bm[:, 1, 1] * bm[:, 2, 2] - bm[:, 1, 2] * bm[:, 2, 1])
-        - bm[:, 0, 1] * (bm[:, 1, 0] * bm[:, 2, 2] - bm[:, 1, 2] * bm[:, 2, 0])
-        + bm[:, 0, 2] * (bm[:, 1, 0] * bm[:, 2, 1] - bm[:, 1, 1] * bm[:, 2, 0])
+        b00 * (b11 * b22 - b12 * b12)
+        - b01 * (b01 * b22 - b12 * b02)
+        + b02 * (b01 * b12 - b11 * b02)
     )
     phi = np.arccos(np.clip(detb / 2.0, -1.0, 1.0)) / 3.0
     lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    m = cov - lam_min[:, None, None] * np.eye(3)
-    c01 = np.cross(m[:, 0, :], m[:, 1, :])
-    c02 = np.cross(m[:, 0, :], m[:, 2, :])
-    c12 = np.cross(m[:, 1, :], m[:, 2, :])
-    cands = np.stack([c01, c02, c12], axis=1)
-    norms = np.linalg.norm(cands, axis=2)
-    pick = norms.argmax(axis=1)
-    v = cands[np.arange(len(cov)), pick]
-    vn = norms[np.arange(len(cov)), pick]
-    bad = vn < 1e-12
+    # M = C - lam_min I; rows m0 = (m00, m01, m02), m1 = (m01, m11, m12),
+    # m2 = (m02, m12, m22), and the cross products m0 x m1, m0 x m2, m1 x m2
+    lam_off = lam_min * 0.0
+    m00, m11, m22 = a - lam_min, b - lam_min, c - lam_min
+    m01, m12, m02 = d - lam_off, e - lam_off, fo - lam_off
+    c01 = (m01 * m12 - m02 * m11, m02 * m01 - m00 * m12, m00 * m11 - m01 * m01)
+    c02 = (m01 * m22 - m02 * m12, m02 * m02 - m00 * m22, m00 * m12 - m01 * m02)
+    c12 = (m11 * m22 - m12 * m12, m12 * m02 - m01 * m22, m01 * m12 - m11 * m02)
+    n01, n02, n12 = (np.sqrt(x * x + y * y + z * z) for x, y, z in (c01, c02, c12))
+    first = (n01 >= n02) & (n01 >= n12)
+    second = n02 >= n12
+    v = np.empty((len(cov), 3))
+    for k in range(3):
+        v[:, k] = np.where(first, c01[k], np.where(second, c02[k], c12[k]))
+    bad = np.where(first, n01, np.where(second, n02, n12)) < 1e-12
     if np.any(bad):
         _, vecs = np.linalg.eigh(cov[bad])
         v[bad] = vecs[:, :, 0]
-        vn[bad] = 1.0
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return v / np.sqrt(x * x + y * y + z * z)[:, None]
 
 
 def _lattice_windows(pts, sensor, lattice=None):
@@ -410,11 +423,13 @@ def _lattice_windows(pts, sensor, lattice=None):
         lattice = sensor.lattice_index(pts)
     h = sensor.height
     u, v = np.divmod(lattice, h)
-    # a one-pixel border of empty pixels keeps every window inside the grid
-    grid = np.full((sensor.width + 2, h + 2), -1, dtype=np.int64)
-    grid[u + 1, v + 1] = np.arange(len(pts))
-    return np.stack([grid[u + 1 + du, v + 1 + dv] for du in (-1, 0, 1) for dv in (-1, 0, 1)],
-                    axis=1)
+    # a one-pixel border of empty pixels keeps every window inside the grid;
+    # the grid is gathered flat, a window being 9 offsets from its centre
+    grid = np.full((sensor.width + 2) * (h + 2), -1, dtype=np.int64)
+    centre = (u + 1) * (h + 2) + (v + 1)
+    grid[centre] = np.arange(len(pts))
+    offsets = np.array([du * (h + 2) + dv for du in (-1, 0, 1) for dv in (-1, 0, 1)])
+    return grid[centre[:, None] + offsets]
 
 
 def estimate_normals(points, sensor, lattice=None):
@@ -503,7 +518,14 @@ def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target):
     cent_cost = 0.0
     if len(y_pts) > 0:
         e = np.einsum("ni,ni->n", map_nrm, map_pts - y_pts)
-        g = np.concatenate([np.cross(y_pts, map_nrm), map_nrm], axis=1)
+        # rows (y x n, n), the cross product written out as np.cross has it
+        g = np.empty((len(y_pts), 6))
+        y0, y1, y2 = y_pts[:, 0], y_pts[:, 1], y_pts[:, 2]
+        n0, n1, n2 = map_nrm[:, 0], map_nrm[:, 1], map_nrm[:, 2]
+        g[:, 0] = y1 * n2 - y2 * n1
+        g[:, 1] = y2 * n0 - y0 * n2
+        g[:, 2] = y0 * n1 - y1 * n0
+        g[:, 3:] = map_nrm
         h += g.T @ g
         b += g.T @ e
         plane_cost = float(e @ e)
@@ -557,9 +579,9 @@ def depth_centroid_icp(frame_points, surface, frame_centroids, map_means, init,
 
     An empty depth cloud leaves the centroid term alone, and no inlier pairs
     (k = 0) leave the plane term alone. Raises NoCorrespondences when depth
-    points are given and every queried point is rejected at some iteration. The
-    diverged flag reports a final cost above initial cost *
-    (1 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL.
+    points are given and none of them is planar, or every queried point is
+    rejected at some iteration. The diverged flag reports a final cost above
+    initial cost * (1 + ICP_DIVERGED_RTOL) + ICP_DIVERGED_ATOL.
     """
     pts = as_points(frame_points, "frame_points")
     use_planes = len(pts) > 0
@@ -575,9 +597,13 @@ def depth_centroid_icp(frame_points, surface, frame_centroids, map_means, init,
         # error rises from 1e-15 m to 2.8 mm. At the shipped 5 mm depth noise,
         # 50x the median variation exceeds 1/3, the largest finite variation,
         # so the gate drops only the windows of fewer than four points
-        # (variation inf); it acts again at lower noise (2 mm).
+        # (variation inf); it acts again at lower noise (2 mm). A point must
+        # have a finite variation too: when half of the windows are sparse,
+        # the median, and so the gate, is inf.
         planar_gate = max(50.0 * float(np.median(variation)), 1e-10)
-        queried = np.flatnonzero(variation <= planar_gate)
+        queried = np.flatnonzero(np.isfinite(variation) & (variation <= planar_gate))
+        if len(queried) == 0:
+            raise NoCorrespondences(f"none of {len(pts)} depth points is planar")
         budget = min(max_points, ICP_SAMPLE_POINTS)
         if len(queried) > budget:
             queried = queried[normal_space_sample(
@@ -602,15 +628,16 @@ def depth_centroid_icp(frame_points, surface, frame_centroids, map_means, init,
             _, nn = surface.nearest(y, upper_bound=d_max)
             cand = np.flatnonzero(nn >= 0)
             nn = nn[cand]
+            map_nrm = surface.normals[nn]
             nrm_w = frame_normals[cand] @ rot.T
-            ok = np.abs(np.einsum("ni,ni->n", nrm_w, surface.normals[nn])) >= cos_gate
-            acc_idx, map_idx = cand[ok], nn[ok]
+            ok = np.abs(np.einsum("ni,ni->n", nrm_w, map_nrm)) >= cos_gate
+            acc_idx = cand[ok]
             if len(acc_idx) == 0:
                 raise NoCorrespondences(f"all {len(pts)} queried depth points rejected at "
                                         f"iteration {it} (d_max={d_max:.3f})")
             yk = y[acc_idx]
-            qk = surface.points[map_idx]
-            nk = surface.normals[map_idx]
+            qk = surface.points[nn[ok]]
+            nk = map_nrm[ok]
         else:
             yk = np.zeros((0, 3))
             qk = yk

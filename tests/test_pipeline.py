@@ -261,6 +261,30 @@ class TestIcpStop:
         assert rotation_angle_between(res.pose_final.rotation, lost[frame_id].rotation) < rot_ok
 
 
+class TestPlanarGate:
+    """A frame whose windows are mostly too sparse for a normal is not relocalised
+    on the normals of one to three points."""
+
+    @pytest.fixture(scope="class")
+    def reloc_views(self):
+        return benchmark_setup(WORKLOADS / "reloc-views.json")
+
+    def test_frame_without_planar_points_declines(self, reloc_views):
+        desk, sensor, noise, obj_map, surface, params, lost = reloc_views
+        frame = simulate_detections(desk, lost[100003], noise, 100003, sensor)
+        full = relocalise(frame, obj_map, surface, params)
+        assert full.status == "success" and full.icp_points == registration.ICP_SAMPLE_POINTS
+        # every second pixel row and column: each window holds its own point
+        # alone, so no variation is finite and the median is inf
+        u, v = np.divmod(sensor.lattice_index(frame.depth_points), sensor.height)
+        thin = replace(frame, depth_points=frame.depth_points[(u % 2 == 0) & (v % 2 == 0)])
+        _, variation = registration.estimate_normals(thin.depth_points, sensor)
+        assert len(variation) > 1000 and np.all(np.isinf(variation))
+        res = relocalise(thin, obj_map, surface, params)
+        assert (res.status, res.reason, res.icp_points) == ("failed", "NoCorrespondences", 0)
+        assert res.pose_final is None
+
+
 class TestIcpDivergence:
     """Rounding in the ~1e-28 ICP cost of a noise-free frame is not divergence."""
 

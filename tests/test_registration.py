@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import numpy as np
@@ -409,6 +411,30 @@ class TestDepthCentroidICP:
             depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, RigidTransform.identity(),
                                sensor=DEFAULT_SENSOR)
 
+    def test_sparse_windows_fail_the_planar_gate(self):
+        # every second pixel row and column of the frame, and one full 20x20
+        # pixel block: the thinned points' windows hold only themselves, so
+        # more than half of the variations are inf and so is the median. ICP
+        # queries only the points with a finite variation: the block's, and
+        # thinned points beside it
+        frame_pts, surface = rendered_desk(DESK_VIEW)
+        u, v = np.divmod(DEFAULT_SENSOR.lattice_index(frame_pts), DEFAULT_SENSOR.height)
+        block = (u >= 70) & (u < 90) & (v >= 50) & (v < 70)
+        kept = block | ((u % 2 == 0) & (v % 2 == 0))
+        cloud = frame_pts[kept]
+        _, variation = estimate_normals(cloud, DEFAULT_SENSOR)
+        assert np.isinf(np.median(variation))
+        assert np.all(np.isfinite(variation[block[kept]]))
+        finite = np.count_nonzero(np.isfinite(variation))
+        assert finite < len(cloud) // 2
+        res = depth_centroid_icp(cloud, surface, *NO_CENTROIDS, DESK_VIEW, sensor=DEFAULT_SENSOR)
+        assert res.points == finite
+        # with no planar point at all, ICP declines before its first query
+        lone = frame_pts[(u % 2 == 0) & (v % 2 == 0)]
+        assert np.all(np.isinf(estimate_normals(lone, DEFAULT_SENSOR)[1]))
+        with pytest.raises(NoCorrespondences, match=rf"^none of {len(lone)} depth points"):
+            depth_centroid_icp(lone, surface, *NO_CENTROIDS, DESK_VIEW, sensor=DEFAULT_SENSOR)
+
     def test_projects_the_frame_once(self, monkeypatch):
         # the normals' windows and the normal-space sample share one lattice
         # projection of the frame, and the sample is the same as with its own
@@ -481,6 +507,75 @@ def noisy_rendered_cloud(keep):
     pts = render_depth_points(desk, pose, DEFAULT_SENSOR, sigma_depth=0.005, seed=3)
     rng = np.random.default_rng(16)
     return pts[np.sort(rng.choice(len(pts), int(keep * len(pts)), replace=False))]
+
+
+def symmetric(eigenvalues, rng):
+    """Symmetric 3x3 matrices with the given (N, 3) eigenvalues and random
+    eigenvectors, exactly symmetric."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), 3, 3)))
+    m = np.einsum("nij,nj,nkj->nik", q, eigenvalues, q)
+    return (m + m.transpose(0, 2, 1)) / 2.0
+
+
+class TestCardanoEigvec:
+    """_cardano_smallest_eigvec against eigh, on the batches estimate_normals
+    can hand it."""
+
+    def check(self, cov):
+        v = registration._cardano_smallest_eigvec(cov)
+        assert v.shape == (len(cov), 3)
+        assert not np.any(np.isnan(v))
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-12
+        return v
+
+    def check_against_eigh(self, cov):
+        """For a simple smallest eigenvalue: eigh's eigenvector, up to sign."""
+        want = np.linalg.eigh(cov)[1][:, :, 0]
+        assert np.abs(np.einsum("ni,ni->n", self.check(cov), want)).min() >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1.0, 1e3])
+    def test_random_spd_matches_eigh(self, scale):
+        rng = np.random.default_rng(21)
+        n = 2000
+        lam0 = rng.uniform(0.0, 0.1, n)
+        lam1 = lam0 + rng.uniform(0.05, 1.0, n)
+        self.check_against_eigh(symmetric(
+            scale * np.column_stack([lam0, lam1, lam1 + rng.uniform(0.0, 1.0, n)]), rng))
+
+    def test_planar_patches_match_eigh(self):
+        # the windows of a noisy frame: one eigenvalue far below the others
+        rng = np.random.default_rng(22)
+        n = 2000
+        self.check_against_eigh(symmetric(1e-4 * np.column_stack(
+            [rng.uniform(1e-6, 1e-2, n), rng.uniform(0.5, 1.0, n), rng.uniform(1.0, 2.0, n)]), rng))
+
+    def test_isotropic(self):
+        self.check(np.array([s * np.eye(3) for s in (1e-8, 1e-4, 1.0, 7.0, 1e4)]))
+
+    # where the smallest eigenvalue is double, C - lambda I has rank one and
+    # the cross products of its rows are rounding noise, so the vector need
+    # not lie in the eigenspace unless eigh takes over; it is still a finite
+    # unit vector. In a frame, only windows of two or three points have such
+    # a scatter (a 3D line projects to at most three pixels of a 3x3 window),
+    # and estimate_normals gives those an inf variation
+    def test_two_smallest_equal(self):
+        rng = np.random.default_rng(23)
+        lam = rng.uniform(0.01, 1.0, 500)
+        self.check(symmetric(np.column_stack([lam, lam, lam + rng.uniform(0.1, 2.0, 500)]), rng))
+
+    def test_rank_one(self):
+        rng = np.random.default_rng(24)
+        u = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 10.0, (500, 1))
+        self.check(np.einsum("ni,nj->nij", u, u))
+
+    def test_zero_matrix_falls_back_to_eigh(self):
+        # the window of a lone point: its scatter is exactly zero. The
+        # diagonal matrix between two of them keeps its closed-form vector
+        cov = np.zeros((3, 3, 3))
+        cov[1] = np.diag([1.0, 2.0, 3.0])
+        v = self.check(cov)
+        assert np.array_equal(v[[0, 2]], np.linalg.eigh(np.zeros((2, 3, 3)))[1][:, :, 0])
+        assert np.abs(v[1]).tolist() == [1.0, 0.0, 0.0]
 
 
 class TestLatticeNormals:
@@ -651,3 +746,26 @@ class TestSurfaceModel:
             assert np.array_equal(idx[near], want_i[near])
             assert np.allclose(d[near], want_d[near], rtol=0, atol=1e-12)
             assert np.all(np.isinf(d[~near])) and np.all(idx[~near] == -1)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_shared_across_threads(self, threads):
+        # callers relocalise frames in parallel on one model; a thread pool,
+        # switching threads every microsecond, returns exactly the serial
+        # distances and indices
+        rng = np.random.default_rng(25)
+        pts = rng.uniform(-1, 1, (20000, 3))
+        s = SurfaceModel(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+        batches = [(rng.uniform(-1.2, 1.2, (2000, 3)), bound)
+                   for bound in (np.inf, 0.05, 0.02, 0.01) * 10]
+        want = [s.nearest(q, upper_bound=b) for q, b in batches]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(s.nearest, q, upper_bound=b) for q, b in batches]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for (d, i), (want_d, want_i) in zip(got, want):
+            assert np.array_equal(d, want_d) and np.array_equal(i, want_i)
+        assert any(np.any(i < 0) for _, i in want) and any(np.all(i >= 0) for _, i in want)
