@@ -7,7 +7,6 @@ possible with the implementation it checks. The test suite runs these.
 
 import itertools
 import math
-from math import comb
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .errors import CollinearPoints, NoConsensus
 from .geometry import (CENTROID_PRIOR_SIGMA, COVARIANCE_FLOOR, MIN_SAMPLES_FOR_COV,
                        RigidTransform, nearest_rotation)
 from .registration import (NORMAL_AZIMUTH_BIN_DEG, NORMAL_POLAR_BIN_DEG, RANSAC_INLIER_M,
-                           RANSAC_MAX_ITERS, _check_not_collinear, _fit_rigid, probabilistic_ao)
+                           _check_not_collinear, _fit_rigid, _ransac_triples, probabilistic_ao)
 from .scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder, _intersect_ground,
                     _ray_dirs)
 
@@ -247,36 +246,32 @@ def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):
 
 
 def ransac_triple_loop(frame_pts, map_means, map_covs, seed):
-    """ransac_ao as a loop that fits and scores one triple at a time.
+    """ransac_ao as a loop that checks, fits and scores one triple at a time.
 
-    Same triples in the same order, the same per-triple fit (_fit_rigid) and
-    the same probabilistic_ao refit; what it checks is ransac_ao's batched
-    scoring and selection. A triple wins when its (inlier count, minus summed
-    inlier residual) is strictly greater than every earlier triple's.
+    Same triples in the same order (_ransac_triples), the same rigid fit
+    (_fit_rigid, on a block of one) and the same probabilistic_ao refit, but
+    its own collinearity test (_check_not_collinear), residuals and ranking;
+    what it checks is ransac_ao's one-pass scoring and selection. A triple
+    wins when its (inlier count, minus summed inlier residual) is strictly
+    greater than every earlier triple's. The sum is the masked row sum
+    ransac_ao takes, since a sum over resid[mask] rounds differently.
     Returns (inlier indices, pose); raises NoConsensus as ransac_ao does.
     """
     f, m = frame_pts, map_means
-    n = len(f)
-    if comb(n, 3) <= RANSAC_MAX_ITERS:
-        triples = itertools.combinations(range(n), 3)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
-        triples = (sorted(rng.choice(n, size=3, replace=False)) for _ in range(RANSAC_MAX_ITERS))
-
     best_score = None
     best_inliers = None
     best_pose = None
-    for triple in triples:
-        sub = list(triple)
+    for sub in _ransac_triples(len(f), seed):
         try:
             _check_not_collinear(f[sub])
         except CollinearPoints:
             continue
-        rot, t = _fit_rigid(f[sub], m[sub])
+        rot, t = _fit_rigid(f[None, sub], m[None, sub])
+        rot, t = rot[0], t[0]
         resid = np.linalg.norm(m - (f @ rot.T + t), axis=1)
         mask = resid < RANSAC_INLIER_M
         count = int(np.count_nonzero(mask))
-        score = (count, -float(resid[mask].sum()))
+        score = (count, -float(np.where(mask, resid, 0.0).sum()))
         if best_score is None or score > best_score:
             best_score = score
             best_inliers = np.flatnonzero(mask)

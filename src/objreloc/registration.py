@@ -74,11 +74,6 @@ ICP_DIVERGED_ATOL = 1e-12
 
 RANSAC_MAX_ITERS = 500
 RANSAC_INLIER_M = 0.10  # centroid residual (m) below which a pair is an inlier
-# ransac_ao's batched residuals agree with _fit_rigid's within 2e-15 m on
-# every hypothesis of the benchmark workloads and the tests, near-rank-one
-# fits included; a batched score within this margin (m, and relative for
-# residual sums) of a decision leaves the decision to _fit_rigid
-RANSAC_SCREEN_M = 1e-9
 
 
 class SurfaceModel:
@@ -136,14 +131,24 @@ def _check_not_collinear(frame_pts):
         )
 
 
-def _fit_rigid(frame_pts, map_pts):
-    fc = frame_pts.mean(axis=0)
-    mc = map_pts.mean(axis=0)
-    h = (frame_pts - fc).T @ (map_pts - mc)
+def _fit_rigid(fs, ms):
+    """Least-squares rigid fit (Kabsch) of each (k, 3) block of fs onto ms.
+
+    Takes (T, k, 3) blocks; returns (rot (T, 3, 3), t (T, 3)). Each block is
+    fitted by per-block operations only, so a block's fit is the same, bit
+    for bit, alone or among any other blocks.
+    """
+    fc = fs.mean(axis=1)
+    mc = ms.mean(axis=1)
+    h = (fs - fc[:, None]).transpose(0, 2, 1) @ (ms - mc[:, None])
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return rot, mc - rot @ fc
+    v = vt.transpose(0, 2, 1)
+    ut = u.transpose(0, 2, 1)
+    flip = np.zeros((len(fs), 3, 3))
+    flip[:, 0, 0] = flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rot = v @ flip @ ut
+    return rot, mc - (rot @ fc[:, :, None])[:, :, 0]
 
 
 def horn_ao(frame_pts, map_means):
@@ -157,8 +162,8 @@ def horn_ao(frame_pts, map_means):
     if len(frame_pts) < 3:
         raise TooFewPairs(f"horn_ao needs >= 3 pairs, got {len(frame_pts)}")
     _check_not_collinear(frame_pts)
-    rot, t = _fit_rigid(frame_pts, map_means)
-    return RigidTransform(nearest_rotation(rot), t)
+    rot, t = _fit_rigid(frame_pts[None], map_means[None])
+    return RigidTransform(nearest_rotation(rot[0]), t[0])
 
 
 def _apply_delta(delta, rot, t):
@@ -275,88 +280,52 @@ def probabilistic_ao(frame_pts, map_means, map_covs, init):
     )
 
 
-def _fit_rigid_batch(fs, ms):
-    """_fit_rigid of each (3, 3) block of fs and ms, and the singular values
-    of the centred frame blocks.
+def _ransac_triples(n, seed):
+    """ransac_ao's minimal sets of n pairs: (T, 3) indices, each row increasing.
 
-    Returns (rot (T, 3, 3), t (T, 3), frame singular values (T, 3)). The
-    fits agree with _fit_rigid's to rounding, not bit for bit.
+    Every 3-subset, in lexicographic order, when C(n, 3) fits in
+    RANSAC_MAX_ITERS; otherwise RANSAC_MAX_ITERS uniform random 3-subsets
+    drawn at once from a generator keyed (seed, n).
     """
-    fc = fs.mean(axis=1, keepdims=True)
-    mc = ms.mean(axis=1, keepdims=True)
-    f_centred = fs - fc
-    s_frame = np.linalg.svd(f_centred, compute_uv=False)
-    h = f_centred.transpose(0, 2, 1) @ (ms - mc)
-    u, _, vt = np.linalg.svd(h)
-    v = vt.transpose(0, 2, 1)
-    ut = u.transpose(0, 2, 1)
-    v[:, :, 2] *= np.sign(np.linalg.det(v @ ut))[:, None]
-    rot = v @ ut
-    t = mc[:, 0] - np.einsum("tij,tj->ti", rot, fc[:, 0])
-    return rot, t, s_frame
+    if comb(n, 3) <= RANSAC_MAX_ITERS:
+        return np.array(list(itertools.combinations(range(n), 3)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
+    return np.sort(rng.random((RANSAC_MAX_ITERS, n)).argsort(axis=1)[:, :3], axis=1)
 
 
 def ransac_ao(frame_pts, map_means, map_covs, seed=0):
     """RANSAC over minimal 3-correspondence sets, then probabilistic refit on inliers.
 
-    All C(n,3) subsets are enumerated when that count fits in
-    RANSAC_MAX_ITERS, making the estimate deterministic; otherwise
-    RANSAC_MAX_ITERS seeded random subsets are drawn. Subsets whose frame
+    The subsets are _ransac_triples(n, seed): all C(n,3) of them when that
+    count fits in RANSAC_MAX_ITERS, making the estimate deterministic,
+    otherwise RANSAC_MAX_ITERS seeded random ones. Subsets whose frame
     points are collinear are skipped; the others are the hypotheses, each a
-    rigid fit of its three pairs (_fit_rigid). A pair is a hypothesis'
-    inlier when its residual is below RANSAC_INLIER_M. The winner has the
-    most inliers; among those, the lowest summed inlier residual; among
-    those, the first in enumeration or draw order.
-
-    Every hypothesis is fitted and scored at once on (T, 3, 3) arrays, whose
-    sums round differently from _fit_rigid's, so these scores only screen.
-    The hypotheses they cannot rule out within RANSAC_SCREEN_M (the top
-    count at a near-lowest residual sum, or a residual near RANSAC_INLIER_M)
-    are refit one by one with _fit_rigid, walked in order and ranked as
-    above, and the winner's _fit_rigid pose starts probabilistic_ao.
-    Raises NoConsensus when the best hypothesis has fewer than 3 inliers.
-    The result's ransac_hypotheses is the number of hypotheses scored.
+    rigid fit of its three pairs (_fit_rigid). Every subset is fitted and
+    scored once, on (T, 3, 3) blocks. A pair is a hypothesis' inlier when
+    its residual is below RANSAC_INLIER_M. The winner has the most inliers;
+    among those, the lowest summed inlier residual; among those, the first
+    in enumeration or draw order. Its pose starts probabilistic_ao on its
+    inliers. Raises NoConsensus when the best hypothesis has fewer than 3
+    inliers. The result's ransac_hypotheses is the number of hypotheses.
     """
     f, m = frame_pts, map_means
     n = len(f)
     if n < 3:
         raise TooFewPairs(f"ransac_ao needs >= 3 pairs, got {n}")
-    if comb(n, 3) <= RANSAC_MAX_ITERS:
-        triples = np.array(list(itertools.combinations(range(n), 3)))
-    else:
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, n], dtype=np.uint64)))
-        triples = np.sort([rng.choice(n, size=3, replace=False)
-                           for _ in range(RANSAC_MAX_ITERS)], axis=1)
-    rot, t, s_frame = _fit_rigid_batch(f[triples], m[triples])
-    fitted = ~_collinear(s_frame)
-    resid = np.linalg.norm(m - (np.einsum("tij,nj->tni", rot, f) + t[:, None]), axis=2)
+    triples = _ransac_triples(n, seed)
+    fs = f[triples]
+    rot, t = _fit_rigid(fs, m[triples])
+    fitted = ~_collinear(np.linalg.svd(fs - fs.mean(axis=1, keepdims=True), compute_uv=False))
+    resid = np.linalg.norm(m - (f @ rot.transpose(0, 2, 1) + t[:, None]), axis=2)
     inlier = resid < RANSAC_INLIER_M
-    count = inlier.sum(axis=1)
-    resid_sum = np.where(inlier, resid, 0.0).sum(axis=1)
-    # a residual at the gate may fall on either side of it in _fit_rigid's
-    # rounding, so such a hypothesis is refit whatever its batched count
-    refit = fitted & (np.abs(resid - RANSAC_INLIER_M) <= RANSAC_SCREEN_M).any(axis=1)
-    clear = fitted & ~refit
-    if clear.any():
-        top = clear & (count == count[clear].max())
-        lowest = resid_sum[top].min()
-        refit |= top & (resid_sum <= lowest * (1.0 + RANSAC_SCREEN_M) + RANSAC_SCREEN_M)
-
-    best_score = best_mask = best_pose = None
-    for sub in triples[refit]:
-        rot_k, t_k = _fit_rigid(f[sub], m[sub])
-        resid_k = np.linalg.norm(m - (f @ rot_k.T + t_k), axis=1)
-        mask = resid_k < RANSAC_INLIER_M
-        score = (int(np.count_nonzero(mask)), -float(resid_k[mask].sum()))
-        if best_score is None or score > best_score:
-            best_score, best_mask, best_pose = score, mask, (rot_k, t_k)
-    if best_score is None or best_score[0] < 3:
-        raise NoConsensus(
-            f"best hypothesis has {0 if best_score is None else best_score[0]} inliers"
-        )
-    best_inliers = np.flatnonzero(best_mask)
+    count = np.where(fitted, inlier.sum(axis=1), 0)
+    top = np.flatnonzero(count == count.max())
+    best = top[np.argmin(np.where(inlier[top], resid[top], 0.0).sum(axis=1))]
+    if count[best] < 3:
+        raise NoConsensus(f"best hypothesis has {count[best]} inliers")
+    best_inliers = np.flatnonzero(inlier[best])
     result = probabilistic_ao(f[best_inliers], m[best_inliers], map_covs[best_inliers],
-                              RigidTransform(nearest_rotation(best_pose[0]), best_pose[1]))
+                              RigidTransform(nearest_rotation(rot[best]), t[best]))
     return replace(result, inliers=tuple(int(i) for i in best_inliers),
                    ransac_hypotheses=int(np.count_nonzero(fitted)))
 
@@ -366,7 +335,9 @@ def _cardano_smallest_eigvec(cov):
 
     Closed-form (Cardano) eigenvalues, eigenvector from the largest of the
     cross products of two rows of (C - lambda I), the first on ties; falls
-    back to eigh where even that one is shorter than 1e-12. Reads the upper
+    back to eigh where even that one is no longer than 1e-10 times the sum
+    of the squared entries of (C - lambda I), that is, where it is rounding
+    noise (a double smallest eigenvalue, or C = 0). Reads the upper
     triangle of cov and works on its six entries as (N,) arrays, operation
     for operation as the (N, 3, 3) form: off the diagonal it subtracts
     q * 0.0 and lam_min * 0.0, as (C - x I) does, which keeps the sign of a
@@ -407,7 +378,8 @@ def _cardano_smallest_eigvec(cov):
     v = np.empty((len(cov), 3))
     for k in range(3):
         v[:, k] = np.where(first, c01[k], np.where(second, c02[k], c12[k]))
-    bad = np.where(first, n01, np.where(second, n02, n12)) < 1e-12
+    m_sq = m00 * m00 + m11 * m11 + m22 * m22 + 2.0 * (m01 * m01 + m12 * m12 + m02 * m02)
+    bad = np.where(first, n01, np.where(second, n02, n12)) <= 1e-10 * m_sq
     if np.any(bad):
         _, vecs = np.linalg.eigh(cov[bad])
         v[bad] = vecs[:, :, 0]

@@ -128,6 +128,33 @@ class TestHornAO:
             assert np.abs(t1.rotation - want.rotation).max() < 1e-9
 
 
+class TestFitRigid:
+    """A block's rigid fit is the same, bit for bit, alone or among other
+    blocks: ransac_ao fits every triple in one batch, while horn_ao and
+    ransac_triple_loop fit a block of one."""
+
+    def check_blocks_independent(self, fs, ms):
+        rot, t = _fit_rigid(fs, ms)
+        assert rot.shape == (len(fs), 3, 3) and t.shape == (len(fs), 3)
+        for i in range(len(fs)):
+            rot_i, t_i = _fit_rigid(fs[i:i + 1], ms[i:i + 1])
+            assert np.array_equal(rot_i[0], rot[i]) and np.array_equal(t_i[0], t[i]), i
+
+    @pytest.mark.parametrize("case", ["outliers", "collinear", "zero-noise"])
+    def test_triple_alone_equals_triple_in_batch(self, case):
+        rng = np.random.default_rng(40)
+        frame_pts, map_pts = next((f, m) for c, f, m in ransac_cases(12, rng) if c == case)
+        triples = registration._ransac_triples(12, 0)
+        self.check_blocks_independent(frame_pts[triples], map_pts[triples])
+
+    def test_horn_sized_block_alone_equals_block_in_batch(self):
+        rng = np.random.default_rng(41)
+        gt = random_pose(rng)
+        fs = rng.uniform(-1, 1, (50, 10, 3))
+        self.check_blocks_independent(
+            fs, fs @ gt.rotation.T + gt.translation + rng.normal(0, 0.01, fs.shape))
+
+
 class TestProbabilisticAO:
     def test_identity_covariance_matches_horn(self):
         rng = np.random.default_rng(4)
@@ -220,7 +247,11 @@ class TestRansacAO:
         map_pts[4] += [-0.8, 1.0, 0.2]
         res = ransac_ao(*make_pairs(frame_pts, map_pts))
         assert set(res.inliers) == {0, 2, 3, 5}
-        oracle = exhaustive_ransac_triples(frame_pts, map_pts, _fit_rigid, RANSAC_INLIER_M)
+        def fit_one(f, m):
+            rot, t = _fit_rigid(f[None], m[None])
+            return rot[0], t[0]
+
+        oracle = exhaustive_ransac_triples(frame_pts, map_pts, fit_one, RANSAC_INLIER_M)
         assert set(res.inliers) == set(oracle)
 
     def test_monte_carlo_noise(self):
@@ -281,6 +312,16 @@ class TestRansacAO:
             if case == "collinear" and 8 <= n <= 15:
                 # every triple but those of the five points on the line
                 assert res.ransac_hypotheses == comb(n, 3) - comb(5, 3)
+
+    @pytest.mark.parametrize("n", [16, 20, 40])
+    def test_sampled_triples(self, n):
+        assert comb(n, 3) > RANSAC_MAX_ITERS
+        triples = registration._ransac_triples(n, 7)
+        assert triples.shape == (RANSAC_MAX_ITERS, 3)
+        assert np.all(np.diff(triples, axis=1) > 0)
+        assert triples.min() >= 0 and triples.max() < n
+        assert np.array_equal(triples, registration._ransac_triples(n, 7))
+        assert not np.array_equal(triples, registration._ransac_triples(n, 8))
 
 
 def ransac_cases(n, rng):
@@ -566,7 +607,12 @@ class TestCardanoEigvec:
     def test_rank_one(self):
         rng = np.random.default_rng(24)
         u = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 10.0, (500, 1))
-        self.check(np.einsum("ni,nj->nij", u, u))
+        cov = np.einsum("ni,nj->nij", u, u)
+        v = self.check(cov)
+        # v lies in the eigenspace of the double eigenvalue 0
+        lam = np.linalg.eigvalsh(cov)[:, :1]
+        resid = np.linalg.norm(np.einsum("nij,nj->ni", cov, v) - lam * v, axis=1)
+        assert (resid / np.linalg.norm(cov, axis=(1, 2))).max() <= 1e-6
 
     def test_zero_matrix_falls_back_to_eigh(self):
         # the window of a lone point: its scatter is exactly zero. The
