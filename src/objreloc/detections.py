@@ -28,13 +28,10 @@ class DetectedObject:
 
     label: str
     box: OrientedBox
-    confidence: float = 1.0
 
     def __post_init__(self):
         if self.label not in CATEGORIES:
             raise ValueError(f"label {self.label!r} not in {CATEGORIES}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
 
 
 @dataclass
@@ -155,7 +152,7 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
         box = OrientedBox(
             cam_from_world.apply(centroid_w), cam_from_world.rotation @ rot_w, extents
         )
-        detections.append(DetectedObject(label, box, confidence=1.0))
+        detections.append(DetectedObject(label, box))
     n_fp = int(rng.poisson(params.false_positive_rate))
     tan_h = sensor.tan_half_fov
     tan_v = tan_h * sensor.height / sensor.width
@@ -167,7 +164,7 @@ def simulate_detections(scene, camera_pose, params, frame_id, sensor=DEFAULT_SEN
         extents = rng.uniform(0.015, 0.05, 3)
         orient = rotation_from_axis_angle(_random_unit(rng), rng.uniform(0.0, 180.0))
         box = OrientedBox(np.array([x, y, depth]), orient, extents)
-        detections.append(DetectedObject(label, box, confidence=0.5))
+        detections.append(DetectedObject(label, box))
     depth_points = render_depth_points(
         scene, world_from_cam, sensor, sigma_depth=params.sigma_depth, rng=rng
     )

@@ -24,8 +24,6 @@ COVARIANCE_FLOOR = 1e-6
 CENTROID_PRIOR_SIGMA = 0.02  # m
 MIN_SAMPLES_FOR_COV = 3
 
-_ORTHONORMALITY_DRIFT = 1e-9
-
 # Signs that turn a box's half-size into its (lo, hi) offsets, exactly
 _LO_HI = np.array([[-1.0], [1.0]])
 
@@ -108,18 +106,6 @@ class RigidTransform:
         return p @ self.rotation.T + self.translation
 
 
-def compose(a, b):
-    """Composition a∘b: apply b first, then a.
-
-    Re-orthonormalises the product rotation via polar projection when the
-    accumulated drift exceeds 1e-9 per element.
-    """
-    r = a.rotation @ b.rotation
-    if np.abs(r.T @ r - np.eye(3)).max() > _ORTHONORMALITY_DRIFT:
-        r = nearest_rotation(r)
-    return RigidTransform(r, a.rotation @ b.translation + a.translation)
-
-
 def rotation_angle_between(a, b):
     """Geodesic angle between two rotations, in degrees, clamped to [0, 180]."""
     a = as_matrix3(a, "a")
@@ -141,14 +127,6 @@ def chordal_mean(rotation_sum, count):
             f"arithmetic mean of rotations is rank-deficient (singular values {s})"
         )
     return r
-
-
-def rotation_mean(rotations):
-    """Chordal L2 mean of a sequence of rotations (chordal_mean of their sum)."""
-    rs = list(rotations)
-    if not rs:
-        raise ValueError("rotation_mean: empty input")
-    return chordal_mean(np.sum(np.stack([as_matrix3(r, "rotation") for r in rs]), axis=0), len(rs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,8 +216,8 @@ def box_iou(b1, b2):
     the two estimates "volume of b times the fraction of b's lattice inside the
     other box". The count is made along lattice lines (see _lattice_count), so
     it costs O(32^2) per box, and equals point-by-point membership testing
-    (oracles.lattice_box_iou). Exact for identical boxes; symmetric bit for
-    bit; relative error <= 2% for non-degenerate overlaps.
+    (lattice_box_iou in tests/oracles.py). Exact for identical boxes;
+    symmetric bit for bit; relative error <= 2% for non-degenerate overlaps.
     """
     lo1, hi1 = b1.aabb()
     lo2, hi2 = b2.aabb()
@@ -304,16 +282,6 @@ class GaussianCentroid:
         else:
             cov = scatter / (count - 1) + np.eye(3) * (CENTROID_PRIOR_SIGMA**2 / count)
         return GaussianCentroid(mean, regularize_covariance(cov), count)
-
-    @staticmethod
-    def from_samples(samples):
-        """from_moments of an (n, 3) array of centroid observations."""
-        s = np.asarray(samples, dtype=np.float64).reshape(-1, 3)
-        if s.shape[0] == 0:
-            raise ValueError("from_samples: empty sample list")
-        mean = s.mean(axis=0)
-        d = s - mean
-        return GaussianCentroid.from_moments(s.shape[0], mean, d.T @ d)
 
 
 def mahalanobis_sq(x, g):

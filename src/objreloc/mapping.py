@@ -77,10 +77,10 @@ class Configuration:
     orientation and the mean extents are derived from the sums on
     construction and make up the mean box. When the orientations have no
     chordal mean (antipodal flip modes pooled together), the founding
-    orientation stands in. Configuration(boxes) founds a configuration from a
-    list of boxes, the first founding it; pooled() builds a new one from
-    several and a new box. A configuration is never changed once built, so
-    finalized maps can share configurations with the map they came from.
+    orientation stands in. Configuration(box) founds a configuration of one
+    box; pooled() builds a new one from several and a new box. A
+    configuration is never changed once built, so finalized maps can share
+    configurations with the map they came from.
 
     A finalized map orders each object's configurations by sample count,
     most first; ties keep founding order.
@@ -89,12 +89,9 @@ class Configuration:
     __slots__ = ("count", "origin", "offset_sum", "outer_sum", "rotation_sum", "extent_sum",
                  "founding_orientation", "centroid", "box")
 
-    def __init__(self, boxes):
-        origin = boxes[0].centroid
-        offsets = np.array([b.centroid for b in boxes]) - origin
-        self._derive(len(boxes), origin, offsets.sum(axis=0), offsets.T @ offsets,
-                     sum(b.orientation for b in boxes), sum(b.extents for b in boxes),
-                     boxes[0].orientation)
+    def __init__(self, box):
+        self._derive(1, box.centroid, np.zeros(3), np.zeros((3, 3)), box.orientation,
+                     box.extents, box.orientation)
 
     @classmethod
     def pooled(cls, configurations, box):
@@ -230,11 +227,11 @@ def integrate_keyframe(obj_map, frame, pose):
     matched = set()
     for det in frame.objects:
         world_box = _world_box(det.box, pose)
-        det_world = DetectedObject(det.label, world_box, det.confidence)
+        det_world = DetectedObject(det.label, world_box)
         hit = associate_detection(obj_map, det_world)
         if hit is None:
             obj_map.objects.append(
-                MapObject(det.label, [Configuration([world_box])])
+                MapObject(det.label, [Configuration(world_box)])
             )
             matched.add(len(obj_map.objects) - 1)
             continue
@@ -244,7 +241,7 @@ def integrate_keyframe(obj_map, frame, pose):
             obj, world_box.centroid, obj_map.fusion_params.chi2_gate
         )
         if not passing:
-            obj.configurations.append(Configuration([world_box]))
+            obj.configurations.append(Configuration(world_box))
         else:
             obj.configurations[passing[0]] = Configuration.pooled(
                 [obj.configurations[k] for k in passing], world_box

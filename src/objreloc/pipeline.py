@@ -448,7 +448,7 @@ def run_benchmark(config=None):
             fid = 100000 * (si + 1) + k
             frame = simulate_detections(scene, pose, noise, fid, sensor)
             gt_poses[fid] = pose
-            rs_frames.append(frame.strip_gt())
+            rs_frames.append(frame)
 
     results = [relocalise(f, obj_map, surface, reloc_params) for f in rs_frames]
 

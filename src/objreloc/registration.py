@@ -1,12 +1,12 @@
 """Pose estimation from matched centroids and depth geometry.
 
-Three stages, matching the relocalisation chain: closed-form absolute
-orientation (horn_ao), Mahalanobis-weighted absolute orientation solved by
-Gauss-Newton (probabilistic_ao) wrapped in RANSAC (ransac_ao), and a
-point-to-plane ICP augmented with a centroid alignment term
-(depth_centroid_icp). ICP's cost is the plain sum of the two terms: a frame
-without depth points is aligned by its centroids alone, and one without
-inlier pairs by its depth points alone.
+Two stages, matching the relocalisation chain: RANSAC (ransac_ao) over
+closed-form rigid fits of minimal sets (_fit_rigid), whose winner starts a
+Mahalanobis-weighted absolute orientation solved by Gauss-Newton
+(probabilistic_ao), and a point-to-plane ICP augmented with a centroid
+alignment term (depth_centroid_icp). ICP's cost is the plain sum of the two
+terms: a frame without depth points is aligned by its centroids alone, and
+one without inlier pairs by its depth points alone.
 
 ICP's frame normals are PCA normals (estimate_normals). A frame's depth
 cloud is organised by its sensor's pixel grid, and its normals come from
@@ -151,21 +151,6 @@ def _fit_rigid(fs, ms):
     return rot, mc - (rot @ fc[:, :, None])[:, :, 0]
 
 
-def horn_ao(frame_pts, map_means):
-    """Closed-form least-squares rigid transform aligning frame points to map
-    means, two (n, 3) arrays.
-
-    Covariances are ignored (identity weighting); no scale is estimated.
-    Raises TooFewPairs below 3 pairs and CollinearPoints when the centered
-    frame points have rank < 2.
-    """
-    if len(frame_pts) < 3:
-        raise TooFewPairs(f"horn_ao needs >= 3 pairs, got {len(frame_pts)}")
-    _check_not_collinear(frame_pts)
-    rot, t = _fit_rigid(frame_pts[None], map_means[None])
-    return RigidTransform(nearest_rotation(rot[0]), t[0])
-
-
 def _apply_delta(delta, rot, t):
     dr = exp_so3(delta[:3])
     r_new = dr @ rot
@@ -202,18 +187,6 @@ def _ao_system(f, m, w, rot, t):
     h = np.einsum("nik,nkl->il", jtw, jac)
     g = np.einsum("nik,nk->i", jtw, r)
     return h, g, float(np.einsum("ni,nij,nj->", r, w, r))
-
-
-def ao_cost_and_gradient(frame_pts, map_means, map_covs, pose):
-    """Cost of Mahalanobis-weighted AO at pose and its gradient in the local chart.
-
-    The chart is the left-multiplicative 6-vector (dtheta, dt). Both come from
-    _ao_system, the system probabilistic_ao solves, so the finite-difference
-    check of the test oracles covers the solver's own gradient.
-    """
-    w = np.linalg.inv(map_covs)
-    _, g, cost = _ao_system(frame_pts, map_means, w, pose.rotation, pose.translation)
-    return cost, 2.0 * g
 
 
 def probabilistic_ao(frame_pts, map_means, map_covs, init):
@@ -387,12 +360,10 @@ def _cardano_smallest_eigvec(cov):
     return v / np.sqrt(x * x + y * y + z * z)[:, None]
 
 
-def _lattice_windows(pts, sensor, lattice=None):
+def _lattice_windows(pts, sensor, lattice):
     """(N, 9) indices into pts of the points in each point's 3x3 pixel window,
     -1 where a window pixel has no point or lies outside the image. lattice is
-    sensor.lattice_index(pts), computed here when not given."""
-    if lattice is None:
-        lattice = sensor.lattice_index(pts)
+    sensor.lattice_index(pts)."""
     h = sensor.height
     u, v = np.divmod(lattice, h)
     # a one-pixel border of empty pixels keeps every window inside the grid;
@@ -404,12 +375,12 @@ def _lattice_windows(pts, sensor, lattice=None):
     return grid[centre[:, None] + offsets]
 
 
-def estimate_normals(points, sensor, lattice=None):
+def estimate_normals(points, sensor, lattice):
     """Unoriented per-point normals by PCA over each point's 3x3 pixel window.
 
-    The points form an organised cloud of the sensor's pixel grid
-    (SensorParams.lattice_index, which a caller that already has it passes
-    as lattice), and a point's neighbourhood is the points of its 3x3 pixel
+    The points form an organised cloud of the sensor's pixel grid, and
+    lattice is their pixel indices (SensorParams.lattice_index). A point's
+    neighbourhood is the points of its 3x3 pixel
     window, itself included. A point with fewer than three neighbours in its
     window gets surface variation inf, so it fails any planar gate: three
     points fit a plane exactly however noisy they are, and fewer fit none.
@@ -482,8 +453,12 @@ def normal_space_sample(normals, lattice, budget):
 
 
 def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target):
-    """Normal equations (H, b) and cost terms for one linearisation of the
-    combined point-to-plane + centroid cost at the current pose."""
+    """Normal equations (H, b) and cost for one linearisation of the combined
+    point-to-plane + centroid cost at the current pose, given the frame points
+    and centroids already moved by it (y_pts, cent_y).
+
+    b is the Gauss-Newton right-hand side, so the cost's gradient in the local
+    chart is -2 b."""
     h = np.zeros((6, 6))
     b = np.zeros(6)
     plane_cost = 0.0
@@ -508,16 +483,6 @@ def _icp_system(y_pts, map_pts, map_nrm, cent_y, cent_target):
         b -= np.einsum("nki,nk->i", jac, r)
         cent_cost = float(np.einsum("ni,ni->", r, r))
     return h, b, plane_cost + cent_cost
-
-
-def icp_cost_and_gradient(frame_pts, map_pts, map_normals, frame_centroids, map_means, pose):
-    """Combined ICP cost and local-chart gradient at pose for a FIXED
-    correspondence assignment, the centroid pairs given as two (k, 3) arrays.
-    Oracle hook for finite-difference checks."""
-    _, b, cost = _icp_system(pose.apply(frame_pts), map_pts, map_normals,
-                             pose.apply(frame_centroids), map_means)
-    # b is the Gauss-Newton right-hand side, minus half the cost's gradient
-    return cost, -2.0 * b
 
 
 def depth_centroid_icp(frame_points, surface, frame_centroids, map_means, init,

@@ -207,16 +207,15 @@ def look_at(eye, target):
 
 
 def in_frustum(p_cam, sensor=DEFAULT_SENSOR):
-    """Whether camera-frame points are inside the sensor's view frustum and
-    range: a bool for one point, a boolean mask for an (N, 3) array."""
-    single = np.ndim(p_cam) == 1
-    p = as_vector3(p_cam, "p_cam")[None] if single else as_points(p_cam, "p_cam")
+    """Boolean mask: which of the (N, 3) camera-frame points are inside the
+    sensor's view frustum and range."""
+    p = as_points(p_cam, "p_cam")
     z = p[:, 2]
     inside = (z > 1e-9) & (np.linalg.norm(p, axis=1) <= sensor.max_range)
     z = np.where(inside, z, 1.0)  # no division by a zero depth
     t = sensor.tan_half_fov
     inside &= (np.abs(p[:, 0] / z) <= t) & (np.abs(p[:, 1] / z) <= t * sensor.height / sensor.width)
-    return bool(inside[0]) if single else inside
+    return inside
 
 
 def generate_scene(object_count=5, label_mix=None, seed=0, plane_height=0.0, plane_extent=1.0,
@@ -411,7 +410,8 @@ def _raycast(scene, camera_pose, sensor):
     rounding in the ball test can never drop a ray that grazes the
     primitive's surface. The culled rows go through the same row-wise
     arithmetic as the whole grid would, so the result equals casting every
-    ray at every primitive (`oracles.raycast_every_ray`) bit for bit.
+    ray at every primitive (raycast_every_ray in tests/oracles.py) bit for
+    bit.
     """
     dirs_cam = _ray_dirs(sensor)
     dirs_w = dirs_cam @ camera_pose.rotation.T
@@ -454,15 +454,10 @@ def _render(scene, camera_pose, sensor, sigma_depth, rng):
     return dirs_cam[hit] * depth[hit][:, None], normals[hit]
 
 
-def render_depth_points(scene, camera_pose, sensor=DEFAULT_SENSOR, sigma_depth=0.0, seed=0, rng=None):
+def render_depth_points(scene, camera_pose, sensor=DEFAULT_SENSOR, sigma_depth=0.0, *, rng):
     """Depth point cloud in the camera frame: nearest hit per ray, perturbed
-    along the ray by N(0, sigma_depth^2); misses, and hits whose perturbed
-    depth is not positive, omitted.
-
-    Deterministic given (seed, camera_pose) when rng is not supplied.
-    """
-    if rng is None:
-        rng = _philox(seed, _pose_digest(camera_pose))
+    along the ray by N(0, sigma_depth^2) drawn from the generator rng; misses,
+    and hits whose perturbed depth is not positive, omitted."""
     return _render(scene, camera_pose, sensor, sigma_depth, rng)[0]
 
 

@@ -74,11 +74,15 @@ def check_covariance(c, name, sym_tol, min_eig):
 
 
 def as_real(x, name="x"):
-    """x as a float; ValueError naming the field when x is not a real number
-    (a string or a bool is not one, whatever float() would make of it)."""
+    """x as a finite float; ValueError naming the field when x is not a real
+    number (a string or a bool is not one, whatever float() would make of it)
+    or is NaN or infinite."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"{name}: expected a number, got {x!r}")
-    return float(x)
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"{name}: expected a finite number, got {x}")
+    return x
 
 
 def check_integer(x, name, minimum):
@@ -99,6 +103,6 @@ def check_probability(p, name="p"):
 
 def check_nonnegative(x, name="x"):
     x = as_real(x, name)
-    if not np.isfinite(x) or x < 0.0:
-        raise ValueError(f"{name}: expected a non-negative finite value, got {x}")
+    if x < 0.0:
+        raise ValueError(f"{name}: expected a non-negative value, got {x}")
     return x

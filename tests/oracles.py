@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 
-from .errors import CollinearPoints, NoConsensus
-from .geometry import (CENTROID_PRIOR_SIGMA, COVARIANCE_FLOOR, MIN_SAMPLES_FOR_COV,
-                       RigidTransform, nearest_rotation)
-from .registration import (NORMAL_AZIMUTH_BIN_DEG, NORMAL_POLAR_BIN_DEG, RANSAC_INLIER_M,
-                           _check_not_collinear, _fit_rigid, _ransac_triples, probabilistic_ao)
-from .scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder, _intersect_ground,
-                    _ray_dirs)
+from objreloc.errors import CollinearPoints, NoConsensus, TooFewPairs
+from objreloc.geometry import (CENTROID_PRIOR_SIGMA, COVARIANCE_FLOOR, MIN_SAMPLES_FOR_COV,
+                               RigidTransform, nearest_rotation)
+from objreloc.registration import (NORMAL_AZIMUTH_BIN_DEG, NORMAL_POLAR_BIN_DEG,
+                                   RANSAC_INLIER_M, _check_not_collinear, _fit_rigid,
+                                   _ransac_triples, probabilistic_ao)
+from objreloc.scene import (MIN_COS_INCIDENCE, _intersect_box, _intersect_cylinder,
+                            _intersect_ground, _ray_dirs)
 
 
 def mc_box_iou(b1, b2, n_samples=1_000_000, seed=12345):
@@ -220,6 +221,22 @@ def raycast_every_ray(scene, camera_pose, sensor):
     grazing = np.abs(np.einsum("ni,ni->n", n_best, dirs_w)) < MIN_COS_INCIDENCE
     t_best = np.where(grazing, np.inf, t_best)
     return t_best, n_best
+
+
+def horn_ao(frame_pts, map_means):
+    """Closed-form least-squares rigid transform aligning frame points to map
+    means, two (n, 3) arrays: registration's rigid fit (_fit_rigid) on a
+    block of one.
+
+    Covariances are ignored (identity weighting); no scale is estimated.
+    Raises TooFewPairs below 3 pairs and CollinearPoints when the centered
+    frame points have rank < 2.
+    """
+    if len(frame_pts) < 3:
+        raise TooFewPairs(f"horn_ao needs >= 3 pairs, got {len(frame_pts)}")
+    _check_not_collinear(frame_pts)
+    rot, t = _fit_rigid(frame_pts[None], map_means[None])
+    return RigidTransform(nearest_rotation(rot[0]), t[0])
 
 
 def exhaustive_ransac_triples(frame_pts, map_pts, fit_fn, inlier_threshold):

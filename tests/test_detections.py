@@ -35,7 +35,7 @@ def frames_equal(a, b):
         if not np.array_equal(a.camera_pose_gt.translation, b.camera_pose_gt.translation):
             return False
     for oa, ob in zip(a.objects, b.objects):
-        if oa.label != ob.label or oa.confidence != ob.confidence:
+        if oa.label != ob.label:
             return False
         if not np.array_equal(oa.box.centroid, ob.box.centroid):
             return False
@@ -67,7 +67,9 @@ class TestSimulate:
         for fid in range(200):
             frame = simulate_detections(scene, looking_pose(), params, fid, TINY_SENSOR)
             for det in frame.objects:
-                assert det.confidence == 0.5  # all spurious
+                # all spurious: a false positive's half-lengths are at most
+                # 0.05 m, and the laptop's longest is 0.17 m before scale noise
+                assert det.box.extents.max() <= 0.05
             counts.append(len(frame.objects))
         assert abs(np.mean(counts) - 1.5) < 0.3
 

@@ -16,7 +16,7 @@ from objreloc.mapping import (
     integrate_keyframe,
     select_or_merge_configurations,
 )
-from objreloc.oracles import configuration_from_boxes
+from oracles import configuration_from_boxes
 from objreloc.scene import (
     Scene,
     SceneObject,
@@ -36,7 +36,7 @@ def cube_det(label="mug", center=(0, 0, 0), half=0.5):
 
 def single_config_object(label="mug", center=(0, 0, 0), half=0.5):
     det = cube_det(label, center, half)
-    return MapObject(label, [Configuration([det.box])])
+    return MapObject(label, [Configuration(det.box)])
 
 
 class TestChiSquaredGate:
@@ -85,7 +85,7 @@ class TestGateDecision:
 
     def test_two_passing_merge(self):
         obj = single_config_object()
-        second = Configuration([cube_det(center=(0.02, 0, 0)).box])
+        second = Configuration(cube_det(center=(0.02, 0, 0)).box)
         obj.configurations.append(second)
         d = select_or_merge_configurations(obj, np.array([0.01, 0, 0]), CHI2_GATE_3DOF)
         assert d == (0, 1)
@@ -121,7 +121,7 @@ def assert_matches_oracle(cfg, boxes):
 
 
 class TestConfigurationStatistics:
-    """A configuration's running sums against oracles.configuration_from_boxes,
+    """A configuration's running sums against configuration_from_boxes,
     which recomputes it from the whole list of its boxes."""
 
     @pytest.mark.parametrize("seed", range(12))
@@ -132,11 +132,14 @@ class TestConfigurationStatistics:
         rng = np.random.default_rng(seed)
         centre = rng.choice([-1.0, 1.0], 3) * 1e3
         first = [random_box(rng, centre, 1e-3) for _ in range(rng.integers(1, 4))]
-        configs = [(Configuration(first), first)]
+        cfg = Configuration(first[0])
+        for box in first[1:]:
+            cfg = Configuration.pooled([cfg], box)
+        configs = [(cfg, first)]
         for _ in range(40):
             box = random_box(rng, centre, 1e-3)
             if rng.uniform() < 0.3:
-                configs.append((Configuration([box]), [box]))
+                configs.append((Configuration(box), [box]))
             else:
                 picked = rng.permutation(len(configs))[:rng.integers(1, 4)]
                 cfg = Configuration.pooled([configs[i][0] for i in picked], box)
@@ -156,10 +159,10 @@ class TestConfigurationStatistics:
         up = OrientedBox(centre, np.eye(3), [0.1, 0.05, 0.03])
         down = OrientedBox(centre + [0.0, 0.0, 1e-3], flip, [0.1, 0.05, 0.03])
         a, b = (up, down) if founder == "identity" else (down, up)
-        both = Configuration([a, b])
+        both = Configuration.pooled([Configuration(a)], b)
         assert_matches_oracle(both, [a, b])
         np.testing.assert_array_equal(both.box.orientation, a.orientation)
-        pooled = Configuration.pooled([Configuration([b]), both], a)
+        pooled = Configuration.pooled([Configuration(b), both], a)
         assert_matches_oracle(pooled, [b, a, b, a])
         np.testing.assert_array_equal(pooled.box.orientation, b.orientation)
 

@@ -4,7 +4,7 @@ from objreloc.detections import DetectedObject, FrameDetections
 from objreloc.geometry import OrientedBox, RigidTransform, rotation_from_axis_angle
 from objreloc.mapping import Configuration, MapObject, ObjectMap
 from objreloc.matching import Candidates, build_adjacency, greedy_select, principal_eigenvector
-from objreloc.oracles import brute_force_one_to_one
+from oracles import brute_force_one_to_one
 from objreloc.pipeline import relocalise
 
 
@@ -30,7 +30,7 @@ def rows(cands, selected):
 
 def map_of(dets):
     objects = [
-        MapObject(d.label, [Configuration([d.box])])
+        MapObject(d.label, [Configuration(d.box)])
         for d in dets
     ]
     return ObjectMap(objects)
@@ -252,7 +252,6 @@ class TestRigidInvariance:
                     d.label,
                     OrientedBox(g.apply(d.box.centroid), g.rotation @ d.box.orientation,
                                 d.box.extents),
-                    d.confidence,
                 )
                 for d in frame
             ]

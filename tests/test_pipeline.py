@@ -278,7 +278,8 @@ class TestPlanarGate:
         # alone, so no variation is finite and the median is inf
         u, v = np.divmod(sensor.lattice_index(frame.depth_points), sensor.height)
         thin = replace(frame, depth_points=frame.depth_points[(u % 2 == 0) & (v % 2 == 0)])
-        _, variation = registration.estimate_normals(thin.depth_points, sensor)
+        _, variation = registration.estimate_normals(
+            thin.depth_points, sensor, sensor.lattice_index(thin.depth_points))
         assert len(variation) > 1000 and np.all(np.isinf(variation))
         res = relocalise(thin, obj_map, surface, params)
         assert (res.status, res.reason, res.icp_points) == ("failed", "NoCorrespondences", 0)
@@ -440,6 +441,12 @@ class TestConfig:
         ({"thresholds": [[0.05]]}, "thresholds"),
         ({"surface": {"voxel": -0.01}}, "surface.voxel"),
         ({"surface": {"voxel": 0.0}}, "surface.voxel"),
+        ({"surface": {"voxel": float("inf")}}, "surface.voxel"),
+        ({"thresholds": [[float("nan"), 5.0]]}, "thresholds[0]"),
+        ({"mcs": {"height": float("nan")}}, "mcs.height"),
+        ({"scene": {"plane_extent": float("nan")}}, "scene.plane_extent"),
+        ({"rs_segments": [{"view_change_deg": float("inf")}]}, "rs_segments[0].view_change_deg"),
+        ({"sensor": {"max_range": float("inf")}}, "sensor.max_range"),
     ])
     def test_bad_value_names_its_key(self, user, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from objreloc.errors import CollinearPoints, NoConsensus, NoCorrespondences, TooFewPairs
-from objreloc.geometry import RigidTransform, compose, rotation_angle_between, rotation_from_axis_angle
+from objreloc.geometry import RigidTransform, rotation_angle_between, rotation_from_axis_angle
 from objreloc import registration, scene
-from objreloc.oracles import (
+from oracles import (
     coordinate_descent_ao,
     exhaustive_ransac_triples,
+    horn_ao,
     lattice_normals_every_point,
     normal_space_sample_loop,
     numerical_gradient,
@@ -25,20 +26,18 @@ from objreloc.registration import (
     RANSAC_MAX_ITERS,
     RegistrationResult,
     SurfaceModel,
+    _ao_system,
     _apply_delta,
     _fit_rigid,
     _icp_system,
-    ao_cost_and_gradient,
     depth_centroid_icp,
     estimate_normals,
-    horn_ao,
-    icp_cost_and_gradient,
     normal_space_sample,
     probabilistic_ao,
     ransac_ao,
 )
-from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, SensorParams, generate_scene,
-                            look_at, render_depth_points)
+from objreloc.scene import (DEFAULT_SENSOR, Scene, SceneObject, SensorParams, _philox,
+                            _pose_digest, generate_scene, look_at, render_depth_points)
 
 
 def make_pairs(frame_pts, map_pts, covs=None):
@@ -58,6 +57,11 @@ def random_pose(rng, t_span=1.0):
         rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 180)),
         rng.uniform(-t_span, t_span, 3),
     )
+
+
+def normals_of(points):
+    """estimate_normals of a cloud of DEFAULT_SENSOR, with its own pixel lattice."""
+    return estimate_normals(points, DEFAULT_SENSOR, DEFAULT_SENSOR.lattice_index(points))
 
 
 def pose_error(a, b):
@@ -123,15 +127,17 @@ class TestHornAO:
             t0 = horn_ao(frame_pts, map_pts)
             moved = frame_pts @ g.rotation.T + g.translation
             t1 = horn_ao(moved, map_pts)
-            want = compose(t0, g.inverse())
+            gi = g.inverse()  # want: gi, then t0
+            want = RigidTransform(t0.rotation @ gi.rotation,
+                                  t0.rotation @ gi.translation + t0.translation)
             assert np.linalg.norm(t1.translation - want.translation) < 1e-9
             assert np.abs(t1.rotation - want.rotation).max() < 1e-9
 
 
 class TestFitRigid:
     """A block's rigid fit is the same, bit for bit, alone or among other
-    blocks: ransac_ao fits every triple in one batch, while horn_ao and
-    ransac_triple_loop fit a block of one."""
+    blocks: ransac_ao fits every triple in one batch, while the oracles
+    horn_ao and ransac_triple_loop fit a block of one."""
 
     def check_blocks_independent(self, fs, ms):
         rot, t = _fit_rigid(fs, ms)
@@ -214,7 +220,9 @@ class TestProbabilisticAO:
             for _ in range(5):
                 a = rng.normal(size=(3, 3))
                 covs.append(a @ a.T * 0.1 + np.eye(3) * 0.01)
-            _, grad = ao_cost_and_gradient(*make_pairs(frame_pts, map_pts, covs), pose)
+            w = np.linalg.inv(np.array(covs))
+            _, g, _ = _ao_system(frame_pts, map_pts, w, pose.rotation, pose.translation)
+            grad = 2.0 * g  # the solver's own system: g is half the cost's gradient
 
             def cost_fn(xi):
                 r, t = _apply_delta(xi, pose.rotation, pose.translation)
@@ -389,7 +397,9 @@ class TestDepthCentroidICP:
         frame_pts, surface = rendered_desk(gt)
         cents_w = np.array([[0.3, 0.2, 0.05], [-0.4, -0.1, 0.08], [0.5, -0.5, 0.0]])
         cents_f = gt.inverse().apply(cents_w)
-        init = compose(RigidTransform(rotation_from_axis_angle([0, 0, 1], 3.0), [0.03, -0.02, 0.01]), gt)
+        nudge = RigidTransform(rotation_from_axis_angle([0, 0, 1], 3.0), [0.03, -0.02, 0.01])
+        init = RigidTransform(nudge.rotation @ gt.rotation,
+                              nudge.rotation @ gt.translation + nudge.translation)
         res = depth_centroid_icp(frame_pts, surface, cents_f, cents_w, init, sensor=DEFAULT_SENSOR)
         terr, rerr = pose_error(res.pose, gt)
         assert terr < 2e-3 and rerr < 0.2
@@ -420,7 +430,9 @@ class TestDepthCentroidICP:
         assert np.sum(np.linalg.eigvalsh(h) > 1e-8 * np.linalg.eigvalsh(h).max()) == 3
         # in-plane displacement is invisible to the plane term and fixed by
         # the centroid term
-        init = compose(RigidTransform(rotation_from_axis_angle([0, 0, 1], 2.0), [0.04, -0.03, 0.0]), gt)
+        nudge = RigidTransform(rotation_from_axis_angle([0, 0, 1], 2.0), [0.04, -0.03, 0.0])
+        init = RigidTransform(nudge.rotation @ gt.rotation,
+                              nudge.rotation @ gt.translation + nudge.translation)
         res0 = depth_centroid_icp(frame_pts, surface, *NO_CENTROIDS, init, sensor=DEFAULT_SENSOR)
         terr0, rerr0 = pose_error(res0.pose, gt)
         assert terr0 > 0.01  # still displaced in the plane
@@ -463,7 +475,7 @@ class TestDepthCentroidICP:
         block = (u >= 70) & (u < 90) & (v >= 50) & (v < 70)
         kept = block | ((u % 2 == 0) & (v % 2 == 0))
         cloud = frame_pts[kept]
-        _, variation = estimate_normals(cloud, DEFAULT_SENSOR)
+        _, variation = normals_of(cloud)
         assert np.isinf(np.median(variation))
         assert np.all(np.isfinite(variation[block[kept]]))
         finite = np.count_nonzero(np.isfinite(variation))
@@ -472,7 +484,7 @@ class TestDepthCentroidICP:
         assert res.points == finite
         # with no planar point at all, ICP declines before its first query
         lone = frame_pts[(u % 2 == 0) & (v % 2 == 0)]
-        assert np.all(np.isinf(estimate_normals(lone, DEFAULT_SENSOR)[1]))
+        assert np.all(np.isinf(normals_of(lone)[1]))
         with pytest.raises(NoCorrespondences, match=rf"^none of {len(lone)} depth points"):
             depth_centroid_icp(lone, surface, *NO_CENTROIDS, DESK_VIEW, sensor=DEFAULT_SENSOR)
 
@@ -495,7 +507,7 @@ class TestDepthCentroidICP:
 
     def test_points_is_the_sample_budget(self):
         frame_pts, surface = rendered_desk(DESK_VIEW)
-        _, variation = estimate_normals(frame_pts, DEFAULT_SENSOR)
+        _, variation = normals_of(frame_pts)
         planar = np.count_nonzero(variation <= max(50.0 * np.median(variation), 1e-10))
         assert planar > ICP_SAMPLE_POINTS
         for max_points, want in ((100, 100), (ICP_SAMPLE_POINTS, ICP_SAMPLE_POINTS),
@@ -506,7 +518,7 @@ class TestDepthCentroidICP:
             assert pose_error(res.pose, DESK_VIEW)[0] < 1e-9
         few = frame_pts[:1000]
         res = depth_centroid_icp(few, surface, *NO_CENTROIDS, DESK_VIEW, sensor=DEFAULT_SENSOR)
-        _, variation = estimate_normals(few, DEFAULT_SENSOR)
+        _, variation = normals_of(few)
         assert res.points == np.count_nonzero(
             variation <= max(50.0 * np.median(variation), 1e-10)) > 0
         assert depth_centroid_icp(np.zeros((0, 3)), surface, np.eye(3), np.eye(3), DESK_VIEW,
@@ -526,13 +538,14 @@ class TestDepthCentroidICP:
             fp, mp, mn = raw[keep], surface.points[idx[keep]], surface.normals[idx[keep]]
             cents_f = rng.uniform(-0.5, 0.5, (4, 3))
             cents_m = cents_f + rng.normal(0, 0.05, (4, 3))
-            _, grad = icp_cost_and_gradient(fp, mp, mn, cents_f, cents_m, pose)
+            # ICP's own system at the pose: b is minus half the cost's gradient
+            _, b, _ = _icp_system(pose.apply(fp), mp, mn, pose.apply(cents_f), cents_m)
+            grad = -2.0 * b
 
             def cost_fn(xi):
                 r, t = _apply_delta(xi, pose.rotation, pose.translation)
                 p2 = RigidTransform(r, t)
-                c, _ = icp_cost_and_gradient(fp, mp, mn, cents_f, cents_m, p2)
-                return c
+                return _icp_system(p2.apply(fp), mp, mn, p2.apply(cents_f), cents_m)[2]
 
             fd = numerical_gradient(cost_fn)
             scale = max(np.linalg.norm(fd), 1.0)
@@ -545,7 +558,8 @@ def noisy_rendered_cloud(keep):
     ground reaches three of the image's borders."""
     desk = generate_scene(object_count=5, seed=0)
     pose = look_at([np.cos(0.5), np.sin(0.5), 0.8], [0.0, 0.0, 0.0])
-    pts = render_depth_points(desk, pose, DEFAULT_SENSOR, sigma_depth=0.005, seed=3)
+    pts = render_depth_points(desk, pose, DEFAULT_SENSOR, sigma_depth=0.005,
+                              rng=_philox(3, _pose_digest(pose)))
     rng = np.random.default_rng(16)
     return pts[np.sort(rng.choice(len(pts), int(keep * len(pts)), replace=False))]
 
@@ -631,7 +645,7 @@ class TestLatticeNormals:
     def test_matches_every_point_oracle(self, keep, monkeypatch):
         pts = noisy_rendered_cloud(keep)
         monkeypatch.setattr(registration, "KDTreeIndex", None)  # normals build no tree
-        normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
+        normals, variation = normals_of(pts)
         want_n, want_v = lattice_normals_every_point(pts, DEFAULT_SENSOR)
         defined = np.isfinite(want_v)
         assert np.array_equal(np.isfinite(variation), defined)
@@ -644,7 +658,8 @@ class TestLatticeNormals:
         u, v = np.divmod(DEFAULT_SENSOR.lattice_index(pts), DEFAULT_SENSOR.height)
         assert np.any(u == 0) or np.any(u == DEFAULT_SENSOR.width - 1)
         assert np.any(v == 0) or np.any(v == DEFAULT_SENSOR.height - 1)
-        windows = registration._lattice_windows(pts, DEFAULT_SENSOR)
+        windows = registration._lattice_windows(pts, DEFAULT_SENSOR,
+                                                DEFAULT_SENSOR.lattice_index(pts))
         inside = ((u > 0) & (u < DEFAULT_SENSOR.width - 1)
                   & (v > 0) & (v < DEFAULT_SENSOR.height - 1))
         assert np.any(inside & np.any(windows < 0, axis=1))
@@ -664,8 +679,8 @@ class TestLatticeNormals:
     def test_point_order_does_not_matter(self):
         pts = noisy_rendered_cloud(0.5)
         perm = np.random.default_rng(17).permutation(len(pts))
-        normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
-        shuffled_n, shuffled_v = estimate_normals(pts[perm], DEFAULT_SENSOR)
+        normals, variation = normals_of(pts)
+        shuffled_n, shuffled_v = normals_of(pts[perm])
         assert np.array_equal(shuffled_v, variation[perm])
         assert np.array_equal(shuffled_n, normals[perm])
 
@@ -674,7 +689,7 @@ class TestLatticeNormals:
         f, cx, cy = DEFAULT_SENSOR.pinhole
         u, v = np.meshgrid(np.arange(40, 80), np.arange(30, 60), indexing="ij")
         pts = np.column_stack([(u.ravel() - cx) / f, (v.ravel() - cy) / f, np.ones(u.size)])
-        normals, variation = estimate_normals(pts, DEFAULT_SENSOR)
+        normals, variation = normals_of(pts)
         assert np.abs(np.abs(normals[:, 2]) - 1.0).max() < 1e-9
         assert variation.max() < 1e-12
 
@@ -684,8 +699,9 @@ class TestLatticeNormals:
         # deeper, and ICP's planar gate must drop them
         pose = RigidTransform(rotation_from_axis_angle([1, 0, 0], 150.0), [0.0, 0.6, 0.9])
         pts, _ = rendered_desk(pose, boxes=(((0.0, 0.0, 0.1), (0.1, 0.1, 0.1)),))
-        _, variation = estimate_normals(pts, DEFAULT_SENSOR)
-        windows = registration._lattice_windows(pts, DEFAULT_SENSOR)
+        _, variation = normals_of(pts)
+        windows = registration._lattice_windows(pts, DEFAULT_SENSOR,
+                                                DEFAULT_SENSOR.lattice_index(pts))
         on_box = np.append(pose.apply(pts)[:, 2] > 1e-9, False)
         ground = np.append(~on_box[:-1], False)
         depth = np.where(windows >= 0, pts[windows, 2], np.nan)
@@ -751,7 +767,7 @@ class TestNormalSpaceSample:
         perm = np.random.default_rng(18).permutation(len(pts))
         picked = []
         for cloud in (pts, pts[perm]):
-            normals, _ = estimate_normals(cloud, DEFAULT_SENSOR)
+            normals, _ = normals_of(cloud)
             lattice = DEFAULT_SENSOR.lattice_index(cloud)
             picked.append(np.sort(lattice[normal_space_sample(normals, lattice, 2000)]))
         assert len(pts) > 2000 and len(picked[0]) == 2000

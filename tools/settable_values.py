@@ -4,7 +4,7 @@ Prints three counts, one per line:
 
     defaults          parameters with a default value, positional or
                       keyword-only, of every function and method in the
-                      package, oracles.py left out (it holds test oracles)
+                      package
     dataclass fields  fields of @dataclass classes that are __init__
                       arguments: ClassVar annotations and field(init=False)
                       are not
@@ -21,8 +21,6 @@ import ast
 import importlib
 import sys
 from pathlib import Path
-
-_SKIP = {"oracles.py"}
 
 
 def _is_dataclass(node):
@@ -72,8 +70,6 @@ def main(argv):
     root = Path(argv[1] if len(argv) > 1 else "src/objreloc").resolve()
     defaults = fields = 0
     for path in sorted(root.rglob("*.py")):
-        if path.name in _SKIP:
-            continue
         d, f = count_source(path.read_text(encoding="utf-8"))
         defaults += d
         fields += f
